@@ -63,10 +63,8 @@ def chunk_size_for(n: int) -> int:
     """Largest k with 256**k <= n: the bytes that always fit in one block."""
     if n < 256:
         raise ModulusTooSmallForCodec(f"chunked codec needs n >= 256, got {n}")
-    k = 1
-    while 256 ** (k + 1) <= n:
-        k += 1
-    return k
+    # 256**k <= n exactly when 8k <= bit_length(n) - 1.
+    return (n.bit_length() - 1) // 8
 
 
 def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:

@@ -4,13 +4,13 @@ A key pair is built the textbook way: two distinct random primes p and q,
 n = p*q, phi = (p-1)*(q-1), a public exponent e coprime to phi, and
 d the inverse of e modulo phi.  The factors and phi are dropped by default
 ("destroyed"); pass ``retain_provenance=True`` to keep them for teaching
-output and deeper validation.
+output, deeper validation and CRT decryption.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EqualPrimes,
@@ -53,8 +53,19 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """The exponent d and modulus n, plus CRT values when the factors are known.
+
+    ``crt`` is (p, q, dP, dQ, qInv), set only for keys made or parsed with
+    their provenance; decryption then works modulo p and q separately.  It
+    is derived from p, q and d, so it takes no part in equality, hashing,
+    repr or the key file.
+    """
+
     d: int
     n: int
+    crt: tuple[int, int, int, int, int] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -91,13 +102,23 @@ def _draw_exponent(phi: int, rng: Rng64) -> int:
             return e
 
 
+def _crt_private_key(d: int, p: int, q: int) -> PrivateKey:
+    # RFC 8017 section 3.2 takes dP = d mod (p-1).  Taking it in [1, p-1]
+    # instead agrees with that except where d mod (p-1) is 0, as for p = 2,
+    # and there c^0 = 1 would be wrong for every block divisible by p.
+    dp = (d - 1) % (p - 1) + 1
+    dq = (d - 1) % (q - 1) + 1
+    return PrivateKey(d, p * q, (p, q, dp, dq, pow(q, -1, p)))
+
+
 def _assemble(p: int, q: int, e: int, retain_provenance: bool) -> KeyPair:
     n = p * q
     phi = (p - 1) * (q - 1)
     _check_exponent(e, phi)
     d = mod_inverse(e, phi)
-    provenance = Provenance(p, q, phi) if retain_provenance else None
-    return KeyPair(PublicKey(e, n), PrivateKey(d, n), provenance)
+    if not retain_provenance:
+        return KeyPair(PublicKey(e, n), PrivateKey(d, n))
+    return KeyPair(PublicKey(e, n), _crt_private_key(d, p, q), Provenance(p, q, phi))
 
 
 def generate_keypair(
@@ -181,7 +202,8 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 # Then, in this order, one `name=<decimal>` per line:
 #   public:  n, e
 #   private: n, d
-#   pair:    n, e, d, and optionally the provenance trio p, q, phi
+#   pair:    n, e, d, and optionally the provenance trio p, q, phi, which
+#            must pass validate_keypair
 # Every line ends with \n; no other whitespace is tolerated.
 
 _HEADER_RE = re.compile(r"^rsa-primer (public|private|pair) v1$")
@@ -212,7 +234,12 @@ def format_keypair(kp: KeyPair) -> str:
 
 
 def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
-    """Parse a key file, enforcing the format bit-exactly."""
+    """Parse a key file, enforcing the format bit-exactly.
+
+    A pair file that carries p, q and phi must be consistent with its n, e
+    and d, or :class:`MalformedKeyFile` is raised: its private key decrypts
+    by CRT, trusting p and q.
+    """
     if not text.endswith("\n"):
         raise MalformedKeyFile("key file must end with a newline")
     lines = text.split("\n")[:-1]
@@ -240,16 +267,18 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
 
     if kind == "public":
         return PublicKey(e=values["e"], n=values["n"])
+    private = PrivateKey(d=values["d"], n=values["n"])
     if kind == "private":
-        return PrivateKey(d=values["d"], n=values["n"])
-    provenance = None
-    if "p" in values:
-        provenance = Provenance(values["p"], values["q"], values["phi"])
-    return KeyPair(
-        PublicKey(e=values["e"], n=values["n"]),
-        PrivateKey(d=values["d"], n=values["n"]),
-        provenance,
-    )
+        return private
+    public = PublicKey(e=values["e"], n=values["n"])
+    if "p" not in values:
+        return KeyPair(public, private)
+    p, q = values["p"], values["q"]
+    provenance = Provenance(p, q, values["phi"])
+    findings = validate_keypair(KeyPair(public, private, provenance))
+    if findings:
+        raise MalformedKeyFile("inconsistent provenance: " + "; ".join(findings))
+    return KeyPair(public, _crt_private_key(private.d, p, q), provenance)
 
 
 def public_part(key: PublicKey | PrivateKey | KeyPair) -> PublicKey:

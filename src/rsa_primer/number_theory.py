@@ -135,6 +135,10 @@ def mod_pow(base: int, exponent: int, n: int) -> int:
     materialized.  Direct exponentiation with RSA-sized operands would need
     astronomically more memory and time; this loop is what makes
     C = M^e mod n computable in practice.
+
+    This is the readable reference.  The hot paths (the block transform
+    and the Miller-Rabin witness) call the builtin three-argument ``pow``,
+    which computes the same value in C.
     """
     _require_natural(base, "base")
     _require_natural(exponent, "exponent")
@@ -239,8 +243,11 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _sieve(1000)
 
-# Below this bound the fixed 12-base set is a proven deterministic test.
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The 13 prime bases 2..41 are a proven deterministic test below psi_13, the
+# least strong pseudoprime to all of them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The 12 bases
+# 2..37 alone would stop at psi_12 = 318665857834031151167461.
+_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _RANDOM_ROUNDS = 64
 _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
@@ -248,7 +255,7 @@ _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
 
 def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
     # True when a proves n composite.  n is odd, n - 1 = d * 2**r with d odd.
-    x = mod_pow(a, d, n)
+    x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
     for _ in range(r - 1):
@@ -261,11 +268,12 @@ def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
 def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     """Primality verdict via Miller-Rabin.
 
-    For n below ~3.3e24 the fixed witness set {2, 3, ..., 37} is known to
-    be exact, so the answer is deterministic.  Above that, 64 rounds with
-    witnesses drawn from ``rng`` are used (a fresh stream with a fixed
-    documented seed when the caller supplies none, keeping verdicts
-    reproducible).  0 and 1 are not prime; 2 and 3 are.
+    For n below psi_13 = 3317044064679887385961981 (about 3.3e24) the fixed
+    witness set {2, 3, ..., 41} is proven exact, so the answer is
+    deterministic and correct.  From psi_13 on, 64 rounds with witnesses
+    drawn from ``rng`` are used (a fresh stream with a fixed documented
+    seed when the caller supplies none, keeping verdicts reproducible).
+    0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
     if n < 2:

@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rsa_primer.cipher import (
     POLLARD_RHO,
@@ -18,7 +20,7 @@ from rsa_primer.cipher import (
 )
 from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq
 from rsa_primer.errors import BlockOutOfRange, BlockTooLarge, CrackTimeout, NotSemiprime
-from rsa_primer.keys import PublicKey, generate_keypair
+from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
 from rsa_primer.number_theory import mod_pow
 
 GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
@@ -48,6 +50,13 @@ class TestBlockTransform:
         for m in range(143):
             assert decrypt_block(encrypt_block(m, small_keypair.public),
                                  small_keypair.private) == m
+
+    def test_negative_block_rejected(self, small_keypair):
+        with pytest.raises(ValueError):
+            encrypt_block(-1, small_keypair.public)
+        for sk in (small_keypair.private, PrivateKey(d=17, n=143)):
+            with pytest.raises(ValueError):
+                decrypt_block(-1, sk)
 
     def test_injective_on_full_range(self, small_keypair):
         images = {encrypt_block(m, small_keypair.public) for m in range(143)}
@@ -79,6 +88,35 @@ class TestBlockTransform:
             for _ in range(50):
                 m = rnd.randrange(kp.public.n)
                 assert mod_pow(m, kp.public.e * kp.private.d, kp.public.n) == m
+
+
+class TestCrtDecryption:
+    @pytest.mark.parametrize(
+        "p, q, e", [(2, 7, 5), (3, 5, 3), (11, 13, 113), (1721, 1801, 1012333)]
+    )
+    def test_roundtrip_every_block(self, p, q, e):
+        with_pq = keypair_from_primes(p, q, e, retain_provenance=True)
+        plain = keypair_from_primes(p, q, e)
+        assert with_pq.private.crt is not None and plain.private.crt is None
+        for m in range(p * q):
+            c = encrypt_block(m, plain.public)
+            assert decrypt_block(c, with_pq.private) == m
+            assert decrypt_block(c, plain.private) == m
+
+    @given(st.integers(8, 64), st.integers(1, 2**64 - 1), st.data())
+    def test_matches_plain_exponent(self, bits, seed, data):
+        sk = generate_keypair(bits, seed, retain_provenance=True).private
+        assert sk.crt is not None
+        c = data.draw(st.integers(0, sk.n - 1))
+        assert decrypt_block(c, sk) == pow(c, sk.d, sk.n)
+
+    def test_key_with_crt_values_decrypts_by_them(self, toy_keypair):
+        # d is not consulted, so a wrong d goes unnoticed and a wrong dP not
+        p, q, dp, dq, q_inv = toy_keypair.private.crt
+        wrong_d = PrivateKey(998, 3099521, (p, q, dp, dq, q_inv))
+        wrong_dp = PrivateKey(997, 3099521, (p, q, dp + 1, dq, q_inv))
+        assert decrypt_block(1232817, wrong_d) == 77
+        assert decrypt_block(1232817, wrong_dp) != 77
 
 
 class TestMessageTransform:
@@ -169,6 +207,13 @@ class TestCrackPrivateKey:
         kp = generate_keypair(32, 2718)
         report = crack_private_key(kp.public, POLLARD_RHO, timeout=30.0)
         assert report.d == kp.private.d
+
+    def test_recovers_psi12(self):
+        # psi_12 = 399165290221 * 798330580441 fools the 12 bases 2..37
+        report = crack_private_key(
+            PublicKey(65537, 318665857834031151167461), POLLARD_RHO, timeout=30
+        )
+        assert (report.p, report.q) == (399165290221, 798330580441)
 
     def test_prime_modulus_rejected(self):
         with pytest.raises(NotSemiprime):

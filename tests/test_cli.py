@@ -161,6 +161,16 @@ class TestEncryptDecrypt:
         assert res.code == 4
         assert res.out == b""
 
+    def test_inconsistent_provenance_exits_4(self, cli, tmp_path, toy_key_files):
+        pub, _ = toy_key_files
+        enc = cli(["encrypt", "--key", str(pub)], stdin=b"Tue 7PM")
+        lying = tmp_path / "lying.key"
+        lying.write_bytes(b"rsa-primer pair v1\nn=3099521\ne=1012333\nd=997\n"
+                          b"p=1721\nq=1803\nphi=3096000\n")
+        res = cli(["decrypt", "--key", str(lying)], stdin=enc.out)
+        assert res.code == 4
+        assert res.out == b""
+
     def test_missing_key_file_exits_1(self, cli, tmp_path):
         res = cli(["encrypt", "--key", str(tmp_path / "nope.pub")], stdin=b"x")
         assert res.code == 1

@@ -76,6 +76,17 @@ class TestChunkSize:
         with pytest.raises(ModulusTooSmallForCodec):
             chunk_size_for(255)
 
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_matches_definition_around_powers_of_256(self, k, delta):
+        n = 256**k + delta
+        if n < 256:
+            with pytest.raises(ModulusTooSmallForCodec):
+                chunk_size_for(n)
+            return
+        size = chunk_size_for(n)
+        assert 256**size <= n < 256 ** (size + 1)
+
 
 class TestChunked:
     def test_single_byte(self):

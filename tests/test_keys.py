@@ -143,6 +143,41 @@ class TestValidateKeypair:
         assert any("p*q" in f for f in findings)
 
 
+class TestCrtValues:
+    def test_absent_without_provenance(self):
+        assert generate_keypair(16, 42).private.crt is None
+        assert keypair_from_primes(1721, 1801, 1012333).private.crt is None
+
+    def test_kept_with_provenance(self, toy_keypair):
+        assert generate_keypair(16, 42, retain_provenance=True).private.crt is not None
+        # d = 997 is below both p - 1 and q - 1; 1801 * 839 = 878 * 1721 + 1
+        assert toy_keypair.private.crt == (1721, 1801, 997, 997, 839)
+
+    def test_exponents_stay_positive_when_p_is_2(self):
+        # d mod (p - 1) is 0 here, and c^0 = 1 would be wrong for even c
+        kp = keypair_from_primes(2, 7, 5, retain_provenance=True)
+        assert kp.private.crt == (2, 7, 1, 5, 1)
+
+    def test_invisible_to_equality_repr_and_hash(self, toy_keypair):
+        plain = PrivateKey(d=997, n=3099521)
+        assert toy_keypair.private == plain
+        assert hash(toy_keypair.private) == hash(plain)
+        assert repr(toy_keypair.private) == "PrivateKey(d=997, n=3099521)"
+
+    def test_matches_cryptography(self):
+        rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+        keys = [keypair_from_primes(p, q, e, retain_provenance=True)
+                for p, q, e in ((3, 5, 3), (11, 13, 113), (1721, 1801, 1012333))]
+        keys += [generate_keypair(bits, seed, retain_provenance=True)
+                 for bits in (8, 32, 128) for seed in range(1, 8)]
+        for kp in keys:
+            p, q, dp, dq, q_inv = kp.private.crt
+            d = kp.private.d
+            assert dp == rsa.rsa_crt_dmp1(d, p)
+            assert dq == rsa.rsa_crt_dmq1(d, q)
+            assert q_inv == rsa.rsa_crt_iqmp(p, q)
+
+
 GOLDEN_PUBLIC = "rsa-primer public v1\nn=3099521\ne=1012333\n"
 GOLDEN_PRIVATE = "rsa-primer private v1\nn=3099521\nd=997\n"
 GOLDEN_PAIR = "rsa-primer pair v1\nn=3099521\ne=1012333\nd=997\n"
@@ -175,6 +210,17 @@ class TestKeyFileFormat:
     def test_parse_plain_pair_roundtrip(self):
         kp = keypair_from_primes(1721, 1801, 1012333)
         assert parse_key_file(format_keypair(kp)) == kp
+
+    def test_parse_keeps_crt_only_with_provenance(self, toy_keypair):
+        assert parse_key_file(GOLDEN_PAIR_FULL).private.crt == toy_keypair.private.crt
+        assert parse_key_file(GOLDEN_PAIR).private.crt is None
+        assert parse_key_file(GOLDEN_PRIVATE).crt is None
+
+    def test_parse_rejects_inconsistent_provenance(self):
+        # the lying provenance of test_bad_provenance_detected, as a file
+        lying = GOLDEN_PAIR + "p=1721\nq=1803\nphi=3096000\n"
+        with pytest.raises(MalformedKeyFile, match="provenance"):
+            parse_key_file(lying)
 
     @pytest.mark.parametrize(
         "text",

@@ -278,6 +278,17 @@ class TestIsProbablePrime:
         for n in range(limit):
             assert is_probable_prime(n) == flags[n], n
 
+    def test_psi12_is_composite(self):
+        # psi_12, the least strong pseudoprime to the 12 bases 2..37
+        # (Sorenson & Webster 2017); it lies below the deterministic bound
+        assert 318665857834031151167461 == 399165290221 * 798330580441
+        assert not is_probable_prime(318665857834031151167461)
+
+    def test_psi13_is_composite(self):
+        # psi_13, the least strong pseudoprime to the 13 bases 2..41, is
+        # the bound itself and so takes the random-witness path
+        assert not is_probable_prime(3317044064679887385961981)
+
     def test_large_prime_uses_random_witnesses(self):
         mersenne_127 = (1 << 127) - 1  # prime, above the deterministic bound
         assert is_probable_prime(mersenne_127)
