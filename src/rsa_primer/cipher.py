@@ -18,11 +18,11 @@ reasonable timeout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from . import codec
-from .codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq
+from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NotSemiprime
 from .keys import PrivateKey, PublicKey, generate_keypair
 from .number_theory import Rng64, gcd, is_probable_prime, mod_inverse
@@ -36,6 +36,7 @@ __all__ = [
     "decrypt_block",
     "encrypt_message",
     "decrypt_message",
+    "smallest_factor",
     "crack_private_key",
     "crack_benchmark",
     "benchmark_summary",
@@ -86,27 +87,11 @@ def decrypt_block(c: int, sk: PrivateKey) -> int:
     return m_q + q * ((m_p - m_q) * q_inv % p)
 
 
-def _encode(data: bytes, n: int, codec_id: str) -> BlockSeq:
-    if codec_id == CODEC_TOY_ASCII:
-        return codec.encode_toy_ascii(data, n)
-    if codec_id == CODEC_CHUNKED:
-        return codec.encode_chunked(data, n)
-    raise ValueError(f"unknown codec {codec_id!r}")
-
-
-def _decode(bs: BlockSeq) -> bytes:
-    if bs.codec_id == CODEC_TOY_ASCII:
-        return codec.decode_toy_ascii(bs)
-    if bs.codec_id == CODEC_CHUNKED:
-        return codec.decode_chunked(bs)
-    raise ValueError(f"unknown codec {bs.codec_id!r}")
-
-
 def encrypt_message(data: bytes, pk: PublicKey, codec_id: str) -> BlockSeq:
     """Encode ``data`` with the chosen codec, then encrypt every block."""
-    plain = _encode(data, pk.n, codec_id)
+    plain = codec.encode(data, pk.n, codec_id)
     blocks = tuple(encrypt_block(m, pk) for m in plain.blocks)
-    return BlockSeq(blocks, plain.codec_id, plain.n_digits, plain.chunk_bytes)
+    return replace(plain, blocks=blocks)
 
 
 def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -> bytes:
@@ -118,7 +103,7 @@ def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -
     if codec_id is not None and codec_id != bs.codec_id:
         raise ValueError(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
     blocks = tuple(decrypt_block(c, sk) for c in bs.blocks)
-    return _decode(BlockSeq(blocks, bs.codec_id, bs.n_digits, bs.chunk_bytes))
+    return codec.decode(replace(bs, blocks=blocks))
 
 
 # --- key recovery ------------------------------------------------------------
@@ -151,7 +136,12 @@ def _deadline_passed(deadline: float | None) -> bool:
     return deadline is not None and perf_counter() > deadline
 
 
-def _trial_division_factor(n: int, deadline: float | None) -> int:
+def smallest_factor(n: int, deadline: float | None = None) -> int:
+    """The least prime factor of n >= 2, by trial division; n itself when prime.
+
+    Raises :class:`CrackTimeout` once ``deadline`` (a ``perf_counter``
+    reading) has passed; the clock is read every 8192 candidates.
+    """
     if n % 2 == 0:
         return 2
     f = 3
@@ -163,7 +153,7 @@ def _trial_division_factor(n: int, deadline: float | None) -> int:
         ticks += 1
         if ticks % _TIMEOUT_CHECK_EVERY == 0 and _deadline_passed(deadline):
             raise CrackTimeout(f"trial division still running at f = {f}")
-    raise NotSemiprime(f"{n} is prime")
+    return n
 
 
 def _pollard_rho_factor(n: int, deadline: float | None) -> int:
@@ -206,7 +196,7 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
 
 
 _FACTOR_METHODS = {
-    TRIAL_DIVISION: _trial_division_factor,
+    TRIAL_DIVISION: smallest_factor,
     POLLARD_RHO: _pollard_rho_factor,
 }
 

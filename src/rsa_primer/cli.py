@@ -14,6 +14,7 @@ payload, diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cipher import (
@@ -24,35 +25,23 @@ from .cipher import (
     crack_private_key,
     decrypt_message,
     encrypt_message,
+    smallest_factor,
 )
 from .codec import (
-    CODEC_CHUNKED,
     CODEC_TOY_ASCII,
+    CODECS,
     BlockSeq,
-    chunk_size_for,
-    decimal_digits,
+    block_seq,
     encode_toy_ascii,
     format_cipher_blocks,
     format_plain_blocks,
 )
 from .errors import (
-    BitsTooSmall,
-    BlockOutOfRange,
-    BlockTooLarge,
-    BothZero,
     CrackTimeout,
-    EqualPrimes,
-    InvalidPublicExponent,
+    Error,
     MalformedBlock,
     MalformedKeyFile,
-    ModulusTooSmall,
-    ModulusTooSmallForCodec,
-    NonAsciiByte,
-    NotCoprime,
-    NotPrime,
-    NotSemiprime,
     OracleBoundExceeded,
-    ZeroState,
 )
 from .keys import (
     KeyPair,
@@ -96,8 +85,7 @@ def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
         if not token.isascii() or not token.isdigit():
             raise MalformedBlock(f"ciphertext token {token!r} is not a decimal block")
         blocks.append(int(token))
-    chunk = chunk_size_for(n) if codec_id == CODEC_CHUNKED else None
-    return BlockSeq(tuple(blocks), codec_id, decimal_digits(n), chunk)
+    return block_seq(tuple(blocks), codec_id, n)
 
 
 # --- argparse plumbing -------------------------------------------------------
@@ -114,8 +102,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seconds, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("timeout must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("timeout must be positive and finite")
     return value
 
 
@@ -155,16 +143,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encrypt", help="encrypt bytes to decimal cipher blocks")
     p.add_argument("--key", required=True, help="public or pair key file")
-    p.add_argument("--codec", choices=(CODEC_TOY_ASCII, CODEC_CHUNKED),
-                   default=CODEC_TOY_ASCII)
+    p.add_argument("--codec", choices=CODECS, default=CODEC_TOY_ASCII)
     p.add_argument("--in", dest="infile", default=None,
                    help="plaintext file (default: stdin)")
     p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt decimal cipher blocks to bytes")
     p.add_argument("--key", required=True, help="private or pair key file")
-    p.add_argument("--codec", choices=(CODEC_TOY_ASCII, CODEC_CHUNKED),
-                   default=CODEC_TOY_ASCII)
+    p.add_argument("--codec", choices=CODECS, default=CODEC_TOY_ASCII)
     p.add_argument("--in", dest="infile", default=None,
                    help="ciphertext file (default: stdin)")
     p.set_defaults(func=_cmd_decrypt)
@@ -394,17 +380,10 @@ def _factorize(n: int) -> list[int]:
     if not 2 <= n <= FACTOR_BOUND:
         raise OracleBoundExceeded(f"factor handles 2 <= n <= {FACTOR_BOUND}, got {n}")
     out: list[int] = []
-    while n % 2 == 0:
-        out.append(2)
-        n //= 2
-    f = 3
-    while f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = smallest_factor(n)
+        out.append(f)
+        n //= f
     return out
 
 
@@ -426,30 +405,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MalformedKeyFile as exc:
         _fail(f"key file error: {exc}")
-        return 4
-    except BlockTooLarge as exc:
-        _fail(str(exc))
-        return 5
+        return exc.exit_code
     except CrackTimeout as exc:
         _fail(f"timed out after {exc.elapsed:.3f}s: {exc}")
-        return 6
-    except (ZeroState, BitsTooSmall, InvalidPublicExponent) as exc:
+        return exc.exit_code
+    except Error as exc:
         _fail(str(exc))
-        return 2
-    except (
-        NonAsciiByte,
-        ModulusTooSmallForCodec,
-        BlockOutOfRange,
-        MalformedBlock,
-        ModulusTooSmall,
-        BothZero,
-        NotCoprime,
-        NotPrime,
-        EqualPrimes,
-        OracleBoundExceeded,
-        NotSemiprime,
-        ValueError,
-    ) as exc:
+        return exc.exit_code
+    except ValueError as exc:
         _fail(str(exc))
         return 3
     except OSError as exc:

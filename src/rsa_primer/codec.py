@@ -25,6 +25,7 @@ from .errors import (
 __all__ = [
     "CODEC_TOY_ASCII",
     "CODEC_CHUNKED",
+    "CODECS",
     "BlockSeq",
     "chunk_size_for",
     "decimal_digits",
@@ -32,12 +33,16 @@ __all__ = [
     "decode_toy_ascii",
     "encode_chunked",
     "decode_chunked",
+    "encode",
+    "decode",
+    "block_seq",
     "format_cipher_blocks",
     "format_plain_blocks",
 ]
 
 CODEC_TOY_ASCII = "toy-ascii"
 CODEC_CHUNKED = "chunked"
+CODECS = (CODEC_TOY_ASCII, CODEC_CHUNKED)
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,32 @@ def decode_chunked(bs: BlockSeq) -> bytes:
         raise MalformedBlock(f"final block {tail_value} has inconsistent framing")
     out += field[1:]
     return bytes(out)
+
+
+def encode(data: bytes, n: int, codec_id: str) -> BlockSeq:
+    """Encode ``data`` for modulus n with the codec named ``codec_id``."""
+    # Called by module-global name, not through a table, so that whatever
+    # rebinds encode_chunked (a profiler, a test double) sees every call.
+    if codec_id == CODEC_TOY_ASCII:
+        return encode_toy_ascii(data, n)
+    if codec_id == CODEC_CHUNKED:
+        return encode_chunked(data, n)
+    raise ValueError(f"unknown codec {codec_id!r}")
+
+
+def decode(bs: BlockSeq) -> bytes:
+    """Decode ``bs`` with the codec it names; inverse of :func:`encode`."""
+    if bs.codec_id == CODEC_TOY_ASCII:
+        return decode_toy_ascii(bs)
+    if bs.codec_id == CODEC_CHUNKED:
+        return decode_chunked(bs)
+    raise ValueError(f"unknown codec {bs.codec_id!r}")
+
+
+def block_seq(blocks: tuple[int, ...], codec_id: str, n: int) -> BlockSeq:
+    """Frame bare ``blocks`` as the codec ``codec_id`` does for modulus n."""
+    chunk = chunk_size_for(n) if codec_id == CODEC_CHUNKED else None
+    return BlockSeq(blocks, codec_id, decimal_digits(n), chunk)
 
 
 def format_cipher_blocks(bs: BlockSeq) -> str:

@@ -1,12 +1,16 @@
 """Exception types raised across the toolkit.
 
 Every error is a subclass of :class:`Error` so callers can catch the whole
-family with one clause; the CLI maps these onto its documented exit codes.
+family with one clause.  Exit codes live here too: each class carries the
+CLI exit code it maps to as ``exit_code``, which is 3 (a codec or
+number-theory domain error) unless the class overrides it, and
+``cli.main`` returns it as is.
 """
 
 
 class Error(Exception):
     """Base class for all rsa-primer errors."""
+    exit_code = 3
 
 
 # --- number theory ---------------------------------------------------------
@@ -37,20 +41,24 @@ class OracleBoundExceeded(Error):
 
 class BitsTooSmall(Error):
     """Prime generation requires a bit width of at least 4."""
+    exit_code = 2
 
 
 class ZeroState(Error):
     """The random stream state must be a nonzero 64-bit value."""
+    exit_code = 2
 
 
 # --- keys ------------------------------------------------------------------
 
 class InvalidPublicExponent(Error):
     """e must satisfy 1 < e < phi(n) and gcd(e, phi(n)) = 1."""
+    exit_code = 2
 
 
 class MalformedKeyFile(Error):
     """Key file text does not match the documented format exactly."""
+    exit_code = 4
 
 
 # --- codec -----------------------------------------------------------------
@@ -75,6 +83,7 @@ class MalformedBlock(Error):
 
 class BlockTooLarge(Error):
     """Message and cipher blocks must be strictly less than the modulus n."""
+    exit_code = 5
 
 
 class NotSemiprime(Error):
@@ -88,5 +97,6 @@ class CrackTimeout(Error):
     :func:`rsa_primer.cipher.crack_private_key` before the error propagates.
     """
 
+    exit_code = 6
     elapsed: float = 0.0
     method: str = ""

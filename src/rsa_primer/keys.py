@@ -12,12 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    EqualPrimes,
-    InvalidPublicExponent,
-    MalformedKeyFile,
-    NotPrime,
-)
+from .errors import InvalidPublicExponent, MalformedKeyFile
 from .number_theory import (
     Rng64,
     _draw_bits,
@@ -26,6 +21,7 @@ from .number_theory import (
     is_probable_prime,
     mod_inverse,
     mod_pow,
+    totient_of_semiprime,
 )
 
 __all__ = [
@@ -111,9 +107,8 @@ def _crt_private_key(d: int, p: int, q: int) -> PrivateKey:
     return PrivateKey(d, p * q, (p, q, dp, dq, pow(q, -1, p)))
 
 
-def _assemble(p: int, q: int, e: int, retain_provenance: bool) -> KeyPair:
+def _assemble(p: int, q: int, phi: int, e: int, retain_provenance: bool) -> KeyPair:
     n = p * q
-    phi = (p - 1) * (q - 1)
     _check_exponent(e, phi)
     d = mod_inverse(e, phi)
     if not retain_provenance:
@@ -140,22 +135,17 @@ def generate_keypair(
     q = gen_prime(bits_per_prime, rng)
     while q == p:
         q = gen_prime(bits_per_prime, rng)
+    phi = (p - 1) * (q - 1)
     if e is None:
-        e = _draw_exponent((p - 1) * (q - 1), rng)
-    return _assemble(p, q, e, retain_provenance)
+        e = _draw_exponent(phi, rng)
+    return _assemble(p, q, phi, e, retain_provenance)
 
 
 def keypair_from_primes(
     p: int, q: int, e: int, retain_provenance: bool = False
 ) -> KeyPair:
     """Build a key pair from explicit primes, with no randomness involved."""
-    if not is_probable_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
-    if not is_probable_prime(q):
-        raise NotPrime(f"q = {q} is not prime")
-    if p == q:
-        raise EqualPrimes(f"p and q must be distinct, both are {p}")
-    return _assemble(p, q, e, retain_provenance)
+    return _assemble(p, q, totient_of_semiprime(p, q), e, retain_provenance)
 
 
 def validate_keypair(kp: KeyPair) -> list[str]:
@@ -199,15 +189,17 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 # --- key file format ---------------------------------------------------------
 #
 # Line 1:  rsa-primer <public|private|pair> v1
-# Then, in this order, one `name=<decimal>` per line:
+# Then, in this order, one `name=<decimal>` per line, with no leading zeros:
 #   public:  n, e
 #   private: n, d
 #   pair:    n, e, d, and optionally the provenance trio p, q, phi, which
 #            must pass validate_keypair
-# Every line ends with \n; no other whitespace is tolerated.
+# Every line ends with \n; no other whitespace is tolerated.  n must exceed
+# 1, e must be odd and at least 3, and d odd: phi(n) is even, so no other
+# exponent can be a working key.
 
 _HEADER_RE = re.compile(r"^rsa-primer (public|private|pair) v1$")
-_FIELD_RE = re.compile(r"^([a-z]+)=([0-9]+)$")
+_FIELD_RE = re.compile(r"^([a-z]+)=(0|[1-9][0-9]*)$")
 
 _FIELDS_BY_KIND = {
     "public": ("n", "e"),
@@ -262,8 +254,14 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
     for line, name in zip(body, expected):
         field = _FIELD_RE.match(line)
         if field is None or field.group(1) != name:
-            raise MalformedKeyFile(f"expected {name}=<decimal>, got {line!r}")
+            raise MalformedKeyFile(f"expected {name}=<canonical decimal>, got {line!r}")
         values[name] = int(field.group(2))
+    if values["n"] <= 1:
+        raise MalformedKeyFile(f"n must exceed 1, got {values['n']}")
+    if "e" in values and (values["e"] < 3 or values["e"] % 2 == 0):
+        raise MalformedKeyFile(f"e must be odd and at least 3, got {values['e']}")
+    if "d" in values and values["d"] % 2 == 0:
+        raise MalformedKeyFile(f"d must be odd, got {values['d']}")
 
     if kind == "public":
         return PublicKey(e=values["e"], n=values["n"])

@@ -55,6 +55,12 @@ def _require_natural(value: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def _require_modulus(n: int, name: str) -> None:
+    _require_natural(n, name)
+    if n <= 1:
+        raise ModulusTooSmall(f"modulus must exceed 1, got {n}")
+
+
 class Rng64:
     """Deterministic xorshift64* stream with a nonzero 64-bit state.
 
@@ -111,9 +117,7 @@ def _draw_bits(bits: int, rng: Rng64) -> int:
 def mod_reduce(a: int, n: int) -> int:
     """Remainder of a divided by n, in [0, n).  For a < n this is a itself."""
     _require_natural(a, "a")
-    _require_natural(n, "n")
-    if n <= 1:
-        raise ModulusTooSmall(f"modulus must exceed 1, got {n}")
+    _require_modulus(n, "n")
     return a % n
 
 
@@ -121,9 +125,7 @@ def is_congruent(a: int, b: int, m: int) -> bool:
     """True when a and b leave the same remainder on division by m."""
     _require_natural(a, "a")
     _require_natural(b, "b")
-    _require_natural(m, "m")
-    if m <= 1:
-        raise ModulusTooSmall(f"modulus must exceed 1, got {m}")
+    _require_modulus(m, "m")
     return a % m == b % m
 
 
@@ -142,9 +144,7 @@ def mod_pow(base: int, exponent: int, n: int) -> int:
     """
     _require_natural(base, "base")
     _require_natural(exponent, "exponent")
-    _require_natural(n, "n")
-    if n <= 1:
-        raise ModulusTooSmall(f"modulus must exceed 1, got {n}")
+    _require_modulus(n, "n")
     result = 1
     base %= n
     while exponent:
@@ -194,9 +194,7 @@ def mod_inverse(a: int, m: int) -> int:
     raised, which in key generation signals an invalid choice of e.
     """
     _require_natural(a, "a")
-    _require_natural(m, "m")
-    if m <= 1:
-        raise ModulusTooSmall(f"modulus must exceed 1, got {m}")
+    _require_modulus(m, "m")
     g, s, _ = extended_gcd(a, m)
     if g != 1:
         raise NotCoprime(f"no inverse: gcd({a}, {m}) = {g} != 1")

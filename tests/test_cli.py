@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rsa_primer.errors import Error
 from rsa_primer.keys import format_keypair, format_public_key, parse_key_file
 
 GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
@@ -131,7 +132,7 @@ class TestEncryptDecrypt:
         pub, _ = toy_key_files
         enc = cli(["encrypt", "--key", str(pub)], stdin=b"Tue 7PM")
         wrong = tmp_path / "wrong.key"
-        wrong.write_bytes(b"rsa-primer private v1\nn=3099521\nd=998\n")
+        wrong.write_bytes(b"rsa-primer private v1\nn=3099521\nd=999\n")
         res = cli(["decrypt", "--key", str(wrong)], stdin=enc.out)
         assert res.code == 3
 
@@ -158,6 +159,25 @@ class TestEncryptDecrypt:
         bad = tmp_path / "bad.pub"
         bad.write_bytes(b"not a key file\n")
         res = cli(["encrypt", "--key", str(bad)], stdin=b"x")
+        assert res.code == 4
+        assert res.out == b""
+        assert res.err.decode().splitlines()[0].startswith(f"key file error: {bad}: ")
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("encrypt", b"public v1\nn=0003099521\ne=1012333\n"),
+            ("encrypt", b"public v1\nn=3099521\ne=1\n"),
+            ("encrypt", b"public v1\nn=3099521\ne=0\n"),
+            ("encrypt", b"public v1\nn=1\ne=3\n"),
+            ("decrypt", b"private v1\nn=3099521\nd=0\n"),
+        ],
+        ids=["leading-zeros", "e=1", "e=0", "n=1", "d=0"],
+    )
+    def test_degenerate_key_exits_4(self, cli, tmp_path, command, key):
+        path = tmp_path / "k"
+        path.write_bytes(b"rsa-primer " + key)
+        res = cli([command, "--key", str(path)], stdin=b"0469428")
         assert res.code == 4
         assert res.out == b""
 
@@ -198,6 +218,17 @@ class TestCrack:
         res = cli(["crack", "--key", str(tmp_path / "big.pub"),
                    "--timeout", "0.05"])
         assert res.code == 6
+        assert res.out == b""
+        first = res.err.decode().splitlines()[0]
+        assert re.match(r"timed out after \d+\.\d{3}s: ", first)
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1"])
+    def test_non_positive_or_non_finite_timeout_exits_2(self, cli, toy_key_files,
+                                                        timeout):
+        pub, _ = toy_key_files
+        res = cli(["crack", "--key", str(pub), "--timeout", timeout])
+        assert res.code == 2
+        assert res.out == b""
 
     def test_csv_benchmark(self, cli):
         res = cli(["crack", "--csv", "--bits", "8,10", "--seed", "5",
@@ -293,6 +324,8 @@ class TestNt:
             (["isprime", "3099521"], "false"),
             (["factor", "3099521"], "1721 1801"),
             (["factor", "12"], "2 2 3"),
+            (["factor", "999999999989"], "999999999989"),  # largest prime <= 10^12
+            (["factor", "847288609443"], " ".join(["3"] * 25)),  # 3^25
         ],
     )
     def test_utilities(self, cli, args, expected):
@@ -306,6 +339,7 @@ class TestNt:
         assert cli(["nt", "totient", "10000001"]).code == 3
         assert cli(["nt", "totient", "1"]).code == 3
         assert cli(["nt", "factor", "2000000000000"]).code == 3
+        assert cli(["nt", "factor", "1"]).code == 3
         assert cli(["nt", "modpow", "2", "3", "1"]).code == 3
 
     def test_malformed_arguments_exit_2(self, cli):
@@ -347,3 +381,36 @@ class TestSubprocess:
         proc = self._run(["encrypt", "--key", str(pub)], stdin=b"Tue 7PM")
         assert proc.returncode == 0
         assert proc.stdout.decode().strip() == GOLDEN_CIPHERTEXT
+
+
+# The exit-code table of the README, by error class.
+README_EXIT_CODES = {
+    "ModulusTooSmall": 3,
+    "BothZero": 3,
+    "NotCoprime": 3,
+    "NotPrime": 3,
+    "EqualPrimes": 3,
+    "OracleBoundExceeded": 3,
+    "BitsTooSmall": 2,
+    "ZeroState": 2,
+    "InvalidPublicExponent": 2,
+    "MalformedKeyFile": 4,
+    "NonAsciiByte": 3,
+    "ModulusTooSmallForCodec": 3,
+    "BlockOutOfRange": 3,
+    "MalformedBlock": 3,
+    "BlockTooLarge": 5,
+    "NotSemiprime": 3,
+    "CrackTimeout": 6,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_is_listed(self):
+        assert {cls.__name__ for cls in Error.__subclasses__()} == set(README_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", Error.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_exit_code_matches_readme(self, cls):
+        assert cls.exit_code == README_EXIT_CODES[cls.__name__]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"\n| {cls.exit_code} | " in readme

@@ -235,6 +235,18 @@ class TestKeyFileFormat:
             "rsa-primer public v1\nn = 3099521\ne=1012333\n",  # stray spaces
             "rsa-primer public v1\nn=30995x1\ne=1012333\n",  # non-decimal
             "rsa-primer pair v1\nn=3099521\ne=1012333\nd=997\np=1721\n",
+            "rsa-primer public v1\nn=0003099521\ne=1012333\n",  # leading zeros
+            "rsa-primer private v1\nn=3099521\nd=0997\n",
+            GOLDEN_PAIR + "p=01721\nq=1801\nphi=3096000\n",
+            "rsa-primer public v1\nn=1\ne=3\n",  # n <= 1
+            "rsa-primer public v1\nn=0\ne=3\n",
+            "rsa-primer public v1\nn=3099521\ne=1\n",  # e < 3
+            "rsa-primer public v1\nn=3099521\ne=0\n",
+            # phi(n) is even, so every usable e and d is odd
+            "rsa-primer public v1\nn=3099521\ne=1012334\n",
+            "rsa-primer private v1\nn=3099521\nd=0\n",
+            "rsa-primer private v1\nn=3099521\nd=998\n",
+            "rsa-primer pair v1\nn=3099521\ne=1012333\nd=998\n",
         ],
     )
     def test_parse_rejects_malformed(self, text):
