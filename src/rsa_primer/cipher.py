@@ -30,6 +30,7 @@ from .number_theory import Rng64, gcd, is_probable_prime, mod_inverse
 __all__ = [
     "TRIAL_DIVISION",
     "POLLARD_RHO",
+    "METHODS",
     "CrackReport",
     "CrackTrial",
     "encrypt_block",
@@ -199,6 +200,7 @@ _FACTOR_METHODS = {
     TRIAL_DIVISION: smallest_factor,
     POLLARD_RHO: _pollard_rho_factor,
 }
+METHODS = tuple(_FACTOR_METHODS)
 
 
 def crack_private_key(
@@ -252,10 +254,8 @@ def crack_benchmark(
     out: list[CrackTrial] = []
     for bits in bits_list:
         for trial in range(1, trials + 1):
-            key_seed = 0
-            while key_seed == 0:
-                key_seed = rng.next_u64()
-            kp = generate_keypair(bits, key_seed)
+            # Never 0: xorshift keeps the state nonzero, the multiplier is odd.
+            kp = generate_keypair(bits, rng.next_u64())
             try:
                 report = crack_private_key(kp.public, method, timeout)
                 out.append(CrackTrial(bits, method, trial, report.elapsed, True))

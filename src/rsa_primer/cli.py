@@ -18,7 +18,7 @@ import math
 import sys
 
 from .cipher import (
-    POLLARD_RHO,
+    METHODS,
     TRIAL_DIVISION,
     benchmark_csv,
     crack_benchmark,
@@ -97,6 +97,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    value = _natural(text)
+    if not 0 < value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [1, 2^64), got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -130,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair deterministically")
     p.add_argument("--bits", type=_natural, required=True, help="bits per prime (>= 4)")
-    p.add_argument("--seed", type=_natural, required=True, help="nonzero 64-bit seed")
+    p.add_argument("--seed", type=_seed, required=True, help="nonzero 64-bit seed")
     p.add_argument("--e", type=_natural, default=None, help="fix the public exponent")
     p.add_argument(
         "--retain-pq",
@@ -157,53 +164,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crack", help="recover a private key by factoring n")
     p.add_argument("--key", default=None, help="public or pair key file")
-    p.add_argument("--method", choices=(TRIAL_DIVISION, POLLARD_RHO),
-                   default=TRIAL_DIVISION)
+    p.add_argument("--method", choices=METHODS, default=TRIAL_DIVISION)
     p.add_argument("--timeout", type=_positive_float, default=None,
                    help="wall-clock budget in seconds")
     p.add_argument("--csv", action="store_true",
                    help="run the timing benchmark and emit CSV instead")
     p.add_argument("--bits", type=_bits_list, default=None,
                    help="benchmark bit widths, e.g. 8,12,16 (with --csv)")
-    p.add_argument("--seed", type=_natural, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="benchmark key seed (with --csv)")
     p.add_argument("--trials", type=_natural, default=3,
                    help="benchmark trials per bit width (with --csv)")
     p.set_defaults(func=_cmd_crack)
 
     p = sub.add_parser("demo", help="narrated end-to-end walkthrough")
-    p.add_argument("--seed", type=_natural, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="run on a freshly generated key instead of the fixed one")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("nt", help="number theory utilities")
+    p.set_defaults(func=_cmd_nt)
     nt = p.add_subparsers(dest="nt_command", required=True)
-    q = nt.add_parser("gcd", help="greatest common divisor")
-    q.add_argument("a", type=_natural)
-    q.add_argument("b", type=_natural)
-    q.set_defaults(func=_cmd_nt_gcd)
-    q = nt.add_parser("xgcd", help="extended Euclid: prints g s t")
-    q.add_argument("a", type=_natural)
-    q.add_argument("b", type=_natural)
-    q.set_defaults(func=_cmd_nt_xgcd)
-    q = nt.add_parser("inverse", help="inverse of a modulo m")
-    q.add_argument("a", type=_natural)
-    q.add_argument("m", type=_natural)
-    q.set_defaults(func=_cmd_nt_inverse)
-    q = nt.add_parser("modpow", help="base^exponent mod n")
-    q.add_argument("base", type=_natural)
-    q.add_argument("exponent", type=_natural)
-    q.add_argument("n", type=_natural)
-    q.set_defaults(func=_cmd_nt_modpow)
-    q = nt.add_parser("totient", help="Euler's totient by brute force (n <= 10^7)")
-    q.add_argument("n", type=_natural)
-    q.set_defaults(func=_cmd_nt_totient)
-    q = nt.add_parser("isprime", help="Miller-Rabin primality verdict")
-    q.add_argument("n", type=_natural)
-    q.set_defaults(func=_cmd_nt_isprime)
-    q = nt.add_parser("factor", help=f"prime factorization (n <= {FACTOR_BOUND})")
-    q.add_argument("n", type=_natural)
-    q.set_defaults(func=_cmd_nt_factor)
+    for name, (_, arg_names, help_text) in _NT_COMMANDS.items():
+        q = nt.add_parser(name, help=help_text)
+        for arg in arg_names:
+            q.add_argument(arg, type=_natural)
 
     return parser
 
@@ -234,20 +219,15 @@ def _load_key_file(path: str):
 def _cmd_keygen(args: argparse.Namespace) -> int:
     kp = generate_keypair(args.bits, args.seed, e=args.e,
                           retain_provenance=args.retain_pq)
+    pair_text = format_keypair(kp)
     pub_path = args.out + ".pub"
     key_path = args.out + ".key"
     with open(pub_path, "wb") as fh:
         fh.write(format_public_key(kp.public).encode("ascii"))
     with open(key_path, "wb") as fh:
-        fh.write(format_keypair(kp).encode("ascii"))
+        fh.write(pair_text.encode("ascii"))
     _fail(f"wrote {pub_path} (public) and {key_path} (pair)")
-    print(f"n={kp.public.n}")
-    print(f"e={kp.public.e}")
-    print(f"d={kp.private.d}")
-    if kp.provenance is not None:
-        print(f"p={kp.provenance.p}")
-        print(f"q={kp.provenance.q}")
-        print(f"phi={kp.provenance.phi}")
+    sys.stdout.write(pair_text.split("\n", 1)[1])  # the fields, without the header
     return 0
 
 
@@ -345,37 +325,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_nt_gcd(args: argparse.Namespace) -> int:
-    print(gcd(args.a, args.b))
-    return 0
-
-
-def _cmd_nt_xgcd(args: argparse.Namespace) -> int:
-    g, s, t = extended_gcd(args.a, args.b)
-    print(f"{g} {s} {t}")
-    return 0
-
-
-def _cmd_nt_inverse(args: argparse.Namespace) -> int:
-    print(mod_inverse(args.a, args.m))
-    return 0
-
-
-def _cmd_nt_modpow(args: argparse.Namespace) -> int:
-    print(mod_pow(args.base, args.exponent, args.n))
-    return 0
-
-
-def _cmd_nt_totient(args: argparse.Namespace) -> int:
-    print(totient_bruteforce(args.n))
-    return 0
-
-
-def _cmd_nt_isprime(args: argparse.Namespace) -> int:
-    print("true" if is_probable_prime(args.n) else "false")
-    return 0
-
-
 def _factorize(n: int) -> list[int]:
     if not 2 <= n <= FACTOR_BOUND:
         raise OracleBoundExceeded(f"factor handles 2 <= n <= {FACTOR_BOUND}, got {n}")
@@ -387,8 +336,28 @@ def _factorize(n: int) -> list[int]:
     return out
 
 
-def _cmd_nt_factor(args: argparse.Namespace) -> int:
-    print(" ".join(str(f) for f in _factorize(args.n)))
+# nt subcommand -> (library function, its positional argument names, help)
+_NT_COMMANDS = {
+    "gcd": (gcd, ("a", "b"), "greatest common divisor"),
+    "xgcd": (extended_gcd, ("a", "b"), "extended Euclid: prints g s t"),
+    "inverse": (mod_inverse, ("a", "m"), "inverse of a modulo m"),
+    "modpow": (mod_pow, ("base", "exponent", "n"), "base^exponent mod n"),
+    "totient": (totient_bruteforce, ("n",),
+                "Euler's totient by brute force (n <= 10^7)"),
+    "isprime": (is_probable_prime, ("n",), "Miller-Rabin primality verdict"),
+    "factor": (_factorize, ("n",), f"prime factorization (n <= {FACTOR_BOUND})"),
+}
+
+
+def _cmd_nt(args: argparse.Namespace) -> int:
+    func, arg_names, _ = _NT_COMMANDS[args.nt_command]
+    result = func(*(getattr(args, name) for name in arg_names))
+    if isinstance(result, bool):
+        print("true" if result else "false")
+    elif isinstance(result, (tuple, list)):
+        print(" ".join(map(str, result)))
+    else:
+        print(result)
     return 0
 
 

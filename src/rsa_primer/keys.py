@@ -195,8 +195,8 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 #   pair:    n, e, d, and optionally the provenance trio p, q, phi, which
 #            must pass validate_keypair
 # Every line ends with \n; no other whitespace is tolerated.  n must exceed
-# 1, e must be odd and at least 3, and d odd: phi(n) is even, so no other
-# exponent can be a working key.
+# 1, and e and d must be odd and at least 3: phi(n) is even, 1 < e < phi(n)
+# and e*d = 1 (mod phi(n)), so no other exponent can be a working key.
 
 _HEADER_RE = re.compile(r"^rsa-primer (public|private|pair) v1$")
 _FIELD_RE = re.compile(r"^([a-z]+)=(0|[1-9][0-9]*)$")
@@ -258,10 +258,11 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
         values[name] = int(field.group(2))
     if values["n"] <= 1:
         raise MalformedKeyFile(f"n must exceed 1, got {values['n']}")
-    if "e" in values and (values["e"] < 3 or values["e"] % 2 == 0):
-        raise MalformedKeyFile(f"e must be odd and at least 3, got {values['e']}")
-    if "d" in values and values["d"] % 2 == 0:
-        raise MalformedKeyFile(f"d must be odd, got {values['d']}")
+    for name in ("e", "d"):
+        if name in values and (values[name] < 3 or values[name] % 2 == 0):
+            raise MalformedKeyFile(
+                f"{name} must be odd and at least 3, got {values[name]}"
+            )
 
     if kind == "public":
         return PublicKey(e=values["e"], n=values["n"])

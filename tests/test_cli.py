@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rsa_primer.cipher import METHODS
 from rsa_primer.errors import Error
 from rsa_primer.keys import format_keypair, format_public_key, parse_key_file
 
@@ -72,6 +73,22 @@ class TestKeygen:
         res = cli(["keygen", "--bits", "12", "--seed", "1", "--out",
                    str(tmp_path / "k"), "--fast"])
         assert res.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["keygen", "--bits", "12", "--out", "k"],
+        ["demo"],
+        ["crack", "--csv", "--bits", "8"],
+    ],
+    ids=["keygen", "demo", "crack-csv"],
+)
+def test_seed_outside_64_bits_exits_2(cli, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    res = cli(command + ["--seed", str(1 << 64)])
+    assert res.code == 2
+    assert res.out == b""
 
 
 class TestEncryptDecrypt:
@@ -171,8 +188,9 @@ class TestEncryptDecrypt:
             ("encrypt", b"public v1\nn=3099521\ne=0\n"),
             ("encrypt", b"public v1\nn=1\ne=3\n"),
             ("decrypt", b"private v1\nn=3099521\nd=0\n"),
+            ("decrypt", b"private v1\nn=3099521\nd=1\n"),
         ],
-        ids=["leading-zeros", "e=1", "e=0", "n=1", "d=0"],
+        ids=["leading-zeros", "e=1", "e=0", "n=1", "d=0", "d=1"],
     )
     def test_degenerate_key_exits_4(self, cli, tmp_path, command, key):
         path = tmp_path / "k"
@@ -197,13 +215,14 @@ class TestEncryptDecrypt:
 
 
 class TestCrack:
-    def test_worked_example(self, cli, toy_key_files):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_worked_example(self, cli, toy_key_files, method):
         pub, _ = toy_key_files
-        res = cli(["crack", "--key", str(pub)])
+        res = cli(["crack", "--key", str(pub), "--method", method])
         assert res.code == 0
         lines = res.text.splitlines()
         assert lines[0] == "p=1721 q=1801 phi=3096000 d=997"
-        assert re.fullmatch(r"method=trial-division elapsed=\d+\.\d{6}s", lines[1])
+        assert re.fullmatch(rf"method={method} elapsed=\d+\.\d{{6}}s", lines[1])
 
     def test_small_example(self, cli, tmp_path):
         key = tmp_path / "s.pub"

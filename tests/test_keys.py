@@ -247,6 +247,9 @@ class TestKeyFileFormat:
             "rsa-primer private v1\nn=3099521\nd=0\n",
             "rsa-primer private v1\nn=3099521\nd=998\n",
             "rsa-primer pair v1\nn=3099521\ne=1012333\nd=998\n",
+            # 1 < e < phi and e*d = 1 (mod phi) rule out d = 1
+            "rsa-primer private v1\nn=3099521\nd=1\n",
+            "rsa-primer pair v1\nn=3099521\ne=1012333\nd=1\n",
         ],
     )
     def test_parse_rejects_malformed(self, text):

@@ -320,6 +320,12 @@ class TestRng64:
             assert advanced.state != state
             assert advanced.state != 0
 
+    @given(st.integers(min_value=1, max_value=(1 << 64) - 1))
+    def test_output_never_zero(self, seed):
+        # xorshift keeps a nonzero state nonzero, and the odd multiplier is
+        # a unit mod 2^64, so no nonzero state outputs 0
+        assert Rng64(seed).next_u64() != 0
+
     def test_zero_state_rejected(self):
         with pytest.raises(ZeroState):
             Rng64(0)
