@@ -18,6 +18,7 @@ reasonable timeout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -25,7 +26,7 @@ from . import codec
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NotSemiprime
 from .keys import PrivateKey, PublicKey, generate_keypair
-from .number_theory import Rng64, gcd, is_probable_prime, mod_inverse
+from .number_theory import Rng64, is_probable_prime, mod_inverse
 
 __all__ = [
     "TRIAL_DIVISION",
@@ -140,38 +141,37 @@ def _deadline_passed(deadline: float | None) -> bool:
 def smallest_factor(n: int, deadline: float | None = None) -> int:
     """The least prime factor of n >= 2, by trial division; n itself when prime.
 
-    Raises :class:`CrackTimeout` once ``deadline`` (a ``perf_counter``
-    reading) has passed; the clock is read every 8192 candidates.
+    Tries 2, then odd f up to isqrt(n) in chunks of 8192 candidates, and
+    raises :class:`CrackTimeout` once ``deadline`` (a ``perf_counter``
+    reading) has passed; the clock is read once after each chunk.
     """
     if n % 2 == 0:
         return 2
-    f = 3
-    ticks = 0
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-        ticks += 1
-        if ticks % _TIMEOUT_CHECK_EVERY == 0 and _deadline_passed(deadline):
-            raise CrackTimeout(f"trial division still running at f = {f}")
+    stop = math.isqrt(n) + 1
+    chunk = 2 * _TIMEOUT_CHECK_EVERY
+    for start in range(3, stop, chunk):
+        for f in range(start, min(start + chunk, stop), 2):
+            if n % f == 0:
+                return f
+        if _deadline_passed(deadline):
+            raise CrackTimeout(f"trial division still running at f = {start + chunk}")
     return n
 
 
 def _pollard_rho_factor(n: int, deadline: float | None) -> int:
-    # Brent's cycle-finding variant on x -> x^2 + c mod n; when a cycle
-    # closes without yielding a factor, restart with the addend bumped.
+    # Brent's cycle finding on x -> x^2 + c mod n (c + 1 after a cycle with no
+    # factor); the clock is read once per 8192 single steps and per gcd batch.
     if n % 2 == 0:
         return 2
     c = 1
     while True:
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            for i in range(r):
-                y = (y * y + c) % n
-                if i % _TIMEOUT_CHECK_EVERY == 0 and _deadline_passed(deadline):
+            for done in range(0, r, _TIMEOUT_CHECK_EVERY):
+                for _ in range(min(_TIMEOUT_CHECK_EVERY, r - done)):
+                    y = (y * y + c) % n
+                if _deadline_passed(deadline):
                     raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
             k = 0
             while k < r and g == 1:
@@ -179,7 +179,7 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                g = gcd(q, n)
+                g = math.gcd(q, n)
                 k += 128
                 if _deadline_passed(deadline):
                     raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
@@ -190,7 +190,7 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys) or n, n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         c += 1
@@ -267,14 +267,10 @@ def crack_benchmark(
 def benchmark_summary(trials: list[CrackTrial]) -> list[tuple[int, float, int]]:
     """Per-bit-width rows (bits_per_prime, mean_elapsed_seconds, trials),
     ordered as first encountered."""
-    order: list[int] = []
-    buckets: dict[int, list[float]] = {}
+    buckets: dict[int, list[float]] = {}  # dicts keep insertion order
     for t in trials:
-        if t.bits_per_prime not in buckets:
-            order.append(t.bits_per_prime)
-            buckets[t.bits_per_prime] = []
-        buckets[t.bits_per_prime].append(t.elapsed)
-    return [(b, sum(buckets[b]) / len(buckets[b]), len(buckets[b])) for b in order]
+        buckets.setdefault(t.bits_per_prime, []).append(t.elapsed)
+    return [(b, sum(times) / len(times), len(times)) for b, times in buckets.items()]
 
 
 BENCHMARK_CSV_HEADER = "bits_per_prime,method,trial,elapsed_seconds,solved"

@@ -97,6 +97,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    value = _natural(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
 def _seed(text: str) -> int:
     value = _natural(text)
     if not 0 < value < 1 << 64:
@@ -173,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="benchmark bit widths, e.g. 8,12,16 (with --csv)")
     p.add_argument("--seed", type=_seed, default=None,
                    help="benchmark key seed (with --csv)")
-    p.add_argument("--trials", type=_natural, default=3,
-                   help="benchmark trials per bit width (with --csv)")
+    p.add_argument("--trials", type=_positive, default=3,
+                   help="benchmark trials per bit width, >= 1 (with --csv)")
     p.set_defaults(func=_cmd_crack)
 
     p = sub.add_parser("demo", help="narrated end-to-end walkthrough")

@@ -9,6 +9,7 @@ output, deeper validation and CRT decryption.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -16,7 +17,6 @@ from .errors import InvalidPublicExponent, MalformedKeyFile
 from .number_theory import (
     Rng64,
     _draw_bits,
-    gcd,
     gen_prime,
     is_probable_prime,
     mod_inverse,
@@ -83,7 +83,7 @@ class KeyPair:
 def _check_exponent(e: int, phi: int) -> None:
     if not 1 < e < phi:
         raise InvalidPublicExponent(f"e must satisfy 1 < e < {phi}, got {e}")
-    g = gcd(e, phi)
+    g = math.gcd(e, phi)
     if g != 1:
         raise InvalidPublicExponent(f"gcd(e, phi) = gcd({e}, {phi}) = {g} != 1")
 
@@ -94,7 +94,7 @@ def _draw_exponent(phi: int, rng: Rng64) -> int:
     width = phi.bit_length()
     while True:
         e = _draw_bits(width, rng) | 1
-        if 3 <= e < phi and gcd(e, phi) == 1:
+        if 3 <= e < phi and math.gcd(e, phi) == 1:
             return e
 
 
@@ -156,14 +156,12 @@ def validate_keypair(kp: KeyPair) -> list[str]:
     Without it the only observable contract is the cipher itself, so
     encrypt-then-decrypt is probed on fixed values {2, 3, n-2}.
     """
-    findings: list[str] = []
     pub, priv = kp.public, kp.private
     if pub.n != priv.n:
-        findings.append("modulus mismatch between public and private halves")
-        return findings
+        return ["modulus mismatch between public and private halves"]
     if pub.n <= 1:
-        findings.append("modulus must exceed 1")
-        return findings
+        return ["modulus must exceed 1"]
+    findings: list[str] = []
     if kp.provenance is not None:
         p, q, phi = kp.provenance.p, kp.provenance.q, kp.provenance.phi
         if not is_probable_prime(p):
@@ -234,9 +232,7 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
     """
     if not text.endswith("\n"):
         raise MalformedKeyFile("key file must end with a newline")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise MalformedKeyFile("key file is empty")
+    lines = text.split("\n")[:-1]  # not empty: text ends with a newline
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise MalformedKeyFile(f"unrecognized header line: {lines[0]!r}")

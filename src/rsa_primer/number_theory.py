@@ -192,13 +192,14 @@ def mod_inverse(a: int, m: int) -> int:
 
     Exists exactly when gcd(a, m) = 1; otherwise :class:`NotCoprime` is
     raised, which in key generation signals an invalid choice of e.
+    Computed by ``pow(a, -1, m)``; :func:`extended_gcd` finds it by hand.
     """
     _require_natural(a, "a")
     _require_modulus(m, "m")
-    g, s, _ = extended_gcd(a, m)
+    g = math.gcd(a, m)
     if g != 1:
         raise NotCoprime(f"no inverse: gcd({a}, {m}) = {g} != 1")
-    return s % m
+    return pow(a, -1, m)
 
 
 def totient_of_semiprime(p: int, q: int) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rsa_primer.cipher import (
+    METHODS,
     POLLARD_RHO,
     TRIAL_DIVISION,
     BENCHMARK_CSV_HEADER,
@@ -17,6 +19,7 @@ from rsa_primer.cipher import (
     decrypt_message,
     encrypt_block,
     encrypt_message,
+    smallest_factor,
 )
 from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq
 from rsa_primer.errors import BlockOutOfRange, BlockTooLarge, CrackTimeout, NotSemiprime
@@ -231,12 +234,73 @@ class TestCrackPrivateKey:
         kp = generate_keypair(40, 31337)
         with pytest.raises(CrackTimeout) as exc_info:
             crack_private_key(kp.public, TRIAL_DIVISION, timeout=0.05)
-        assert exc_info.value.elapsed >= 0.05
+        assert 0.05 <= exc_info.value.elapsed < 1.0
         assert exc_info.value.method == TRIAL_DIVISION
+
+    def test_timeout_pollard_rho(self):
+        kp = generate_keypair(64, 31337)
+        with pytest.raises(CrackTimeout) as exc_info:
+            crack_private_key(kp.public, POLLARD_RHO, timeout=0.05)
+        assert 0.05 <= exc_info.value.elapsed < 1.0
+        assert exc_info.value.method == POLLARD_RHO
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bits", [12, 20, 28])
+    def test_agrees_with_cryptography_recovery(self, bits, method):
+        rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+        # Seed 3 gives the 28-bit key with the smallest p of seeds 1-3, so
+        # trial division there takes seconds, not tens of seconds.
+        kp = generate_keypair(bits, 3)
+        e, n = kp.public.e, kp.public.n
+        report = crack_private_key(kp.public, method, timeout=60.0)
+        assert tuple(sorted(rsa.rsa_recover_prime_factors(n, e, kp.private.d))) == (
+            report.p, report.q)
+        assert tuple(sorted(rsa.rsa_recover_prime_factors(n, e, report.d))) == (
+            report.p, report.q)
 
     def test_unknown_method(self, toy_keypair):
         with pytest.raises(ValueError):
             crack_private_key(toy_keypair.public, "quantum")
+
+
+def _least_prime_factors(limit):
+    spf = list(range(limit))
+    for f in range(2, math.isqrt(limit - 1) + 1):
+        if spf[f] == f:
+            for m in range(f * f, limit, f):
+                if spf[m] == m:
+                    spf[m] = f
+    return spf
+
+
+class TestSmallestFactor:
+    def test_matches_sieve_below_50000(self):
+        spf = _least_prime_factors(50_000)
+        assert [smallest_factor(n) for n in range(2, 50_000)] == spf[2:]
+
+    def test_matches_sympy_on_random_semiprimes(self):
+        sympy = pytest.importorskip("sympy")
+        rnd = random.Random(20240501)
+        for _ in range(20):
+            bits = rnd.randrange(15, 21)  # bits per prime: 30-40-bit n
+            p = sympy.nextprime(rnd.getrandbits(bits) | 1 << (bits - 1))
+            q = sympy.nextprime(rnd.getrandbits(bits) | 1 << (bits - 1))
+            n = p * q
+            assert smallest_factor(n) == min(sympy.factorint(n))
+
+    # Trial division walks odd f in chunks of 8192 candidates: the first
+    # chunk ends at 16385, the second runs 16387..32769, the third starts
+    # at 32771.  Each prime p below sits next to a chunk edge; 65537 is the
+    # last candidate of the fourth chunk and 65539 the first of the fifth.
+    @pytest.mark.parametrize("p, next_p", [
+        (16381, 16411), (16411, 16417), (32749, 32771), (32771, 32779),
+        (65537, 65539),
+    ])
+    def test_primes_next_to_chunk_edges(self, p, next_p):
+        assert smallest_factor(p) == p
+        assert smallest_factor(p * p) == p
+        assert smallest_factor(p * next_p) == p
+        assert smallest_factor(next_p * next_p) == next_p
 
 
 class TestCrackBenchmark:

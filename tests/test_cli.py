@@ -260,6 +260,11 @@ class TestCrack:
             r"(8|10),trial-division,[12],\d+\.\d{6},true", ln
         ) for ln in lines[1:])
 
+    def test_csv_zero_trials_exits_2(self, cli):
+        res = cli(["crack", "--csv", "--bits", "8", "--seed", "3", "--trials", "0"])
+        assert res.code == 2
+        assert res.out == b""
+
     def test_csv_needs_bits_and_seed(self, cli):
         res = cli(["crack", "--csv", "--seed", "5"])
         assert res.code == 2
