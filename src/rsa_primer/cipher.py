@@ -24,7 +24,7 @@ from time import perf_counter
 
 from . import codec
 from .codec import BlockSeq
-from .errors import BlockTooLarge, CrackTimeout, NotSemiprime
+from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, generate_keypair
 from .number_theory import Rng64, is_probable_prime, mod_inverse
 
@@ -89,23 +89,36 @@ def decrypt_block(c: int, sk: PrivateKey) -> int:
     return m_q + q * ((m_p - m_q) * q_inv % p)
 
 
+def _map_distinct(transform, blocks: tuple[int, ...], key) -> tuple[int, ...]:
+    # One transform per distinct value, in order of first occurrence, so the
+    # first bad block still raises first.
+    table = {b: transform(b, key) for b in dict.fromkeys(blocks)}
+    return tuple(map(table.__getitem__, blocks))
+
+
 def encrypt_message(data: bytes, pk: PublicKey, codec_id: str) -> BlockSeq:
-    """Encode ``data`` with the chosen codec, then encrypt every block."""
+    """Encode ``data`` with the chosen codec, then encrypt every block.
+
+    Textbook RSA is deterministic: equal plaintext blocks give equal cipher
+    blocks, which is what padding exists to prevent.  Under toy-ascii that
+    makes the cipher a substitution on characters, and it lets this
+    function compute ``encrypt_block`` once per distinct block value.
+    """
     plain = codec.encode(data, pk.n, codec_id)
-    blocks = tuple(encrypt_block(m, pk) for m in plain.blocks)
-    return replace(plain, blocks=blocks)
+    return replace(plain, blocks=_map_distinct(encrypt_block, plain.blocks, pk))
 
 
 def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -> bytes:
     """Decrypt every block, then decode; inverse of :func:`encrypt_message`.
 
-    The sequence already names its codec; passing ``codec_id`` merely
-    asserts it matches.
+    As in encryption, ``decrypt_block`` runs once per distinct block value,
+    in order of first occurrence, so the first block at or above n (or
+    below 0) is the one the error names.  The sequence already names its
+    codec; passing ``codec_id`` merely asserts it matches.
     """
     if codec_id is not None and codec_id != bs.codec_id:
         raise ValueError(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
-    blocks = tuple(decrypt_block(c, sk) for c in bs.blocks)
-    return codec.decode(replace(bs, blocks=blocks))
+    return codec.decode(replace(bs, blocks=_map_distinct(decrypt_block, bs.blocks, sk)))
 
 
 # --- key recovery ------------------------------------------------------------
@@ -143,8 +156,11 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
 
     Tries 2, then odd f up to isqrt(n) in chunks of 8192 candidates, and
     raises :class:`CrackTimeout` once ``deadline`` (a ``perf_counter``
-    reading) has passed; the clock is read once after each chunk.
+    reading) has passed; the clock is read once after each chunk.  An n
+    below 2 has no prime factor and raises :class:`NoFactor`.
     """
+    if n < 2:
+        raise NoFactor(f"{n} has no prime factor")
     if n % 2 == 0:
         return 2
     stop = math.isqrt(n) + 1
@@ -161,6 +177,10 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
 def _pollard_rho_factor(n: int, deadline: float | None) -> int:
     # Brent's cycle finding on x -> x^2 + c mod n (c + 1 after a cycle with no
     # factor); the clock is read once per 8192 single steps and per gcd batch.
+    # A proper factor of a composite n is returned.  On a prime n every cycle
+    # would close with gcd = n and c would grow forever, hence the check.
+    if n < 4 or is_probable_prime(n):
+        raise NoFactor(f"{n} is not composite, so rho has no factor to find")
     if n % 2 == 0:
         return 2
     c = 1

@@ -371,10 +371,15 @@ def _cmd_nt(args: argparse.Namespace) -> int:
 # --- entry points ------------------------------------------------------------
 
 
+_parser: argparse.ArgumentParser | None = None  # built once, on the first call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

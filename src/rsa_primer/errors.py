@@ -90,6 +90,11 @@ class NotSemiprime(Error):
     """The attacked modulus is not a product of two distinct primes."""
 
 
+class NoFactor(Error):
+    """There is no factor to find: n < 2 has no prime factor, and Pollard rho
+    needs a composite n (a prime has no proper factor)."""
+
+
 class CrackTimeout(Error):
     """Factoring exceeded its wall-clock budget.
 

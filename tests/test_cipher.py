@@ -1,11 +1,14 @@
 import math
 import random
 import re
+from dataclasses import replace
+from time import perf_counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsa_primer import cipher, codec
 from rsa_primer.cipher import (
     METHODS,
     POLLARD_RHO,
@@ -21,8 +24,14 @@ from rsa_primer.cipher import (
     encrypt_message,
     smallest_factor,
 )
-from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq
-from rsa_primer.errors import BlockOutOfRange, BlockTooLarge, CrackTimeout, NotSemiprime
+from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq, block_seq
+from rsa_primer.errors import (
+    BlockOutOfRange,
+    BlockTooLarge,
+    CrackTimeout,
+    NoFactor,
+    NotSemiprime,
+)
 from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
 from rsa_primer.number_theory import mod_pow
 
@@ -180,6 +189,77 @@ class TestMessageTransform:
             encrypt_message(b"hi", toy_keypair.public, "rot13")
 
 
+# Texts with many repeats (a four-symbol alphabet) and texts of any ASCII.
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(b"ab \n"), max_size=80).map(bytes),
+    st.lists(st.integers(0, 127), max_size=80).map(bytes),
+)
+
+
+class TestOneTransformPerDistinctBlock:
+    """Equal blocks give equal cipher blocks, so each value is transformed once."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from([CODEC_TOY_ASCII, CODEC_CHUNKED]), st.booleans(),
+           st.integers(8, 24), st.integers(1, 2**64 - 1), _TEXTS)
+    def test_same_as_the_per_block_map(self, codec_id, with_crt, bits, seed, data):
+        kp = generate_keypair(bits, seed, retain_provenance=with_crt)
+        assert (kp.private.crt is not None) == with_crt
+        plain = codec.encode(data, kp.public.n, codec_id)
+        bs = encrypt_message(data, kp.public, codec_id)
+        assert bs == replace(
+            plain, blocks=tuple(encrypt_block(m, kp.public) for m in plain.blocks))
+        per_block = replace(
+            bs, blocks=tuple(decrypt_block(c, kp.private) for c in bs.blocks))
+        assert decrypt_message(bs, kp.private) == codec.decode(per_block) == data
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(cipher, name)
+
+        def counting(block, key):
+            calls.append(block)
+            return original(block, key)
+
+        monkeypatch.setattr(cipher, name, counting)
+        return calls
+
+    def test_one_encrypt_block_call_per_distinct_byte(self, toy_keypair, monkeypatch):
+        text = b"abracadabra, banana bandana"
+        calls = self._count_calls(monkeypatch, "encrypt_block")
+        bs = encrypt_message(text, toy_keypair.public, CODEC_TOY_ASCII)
+        assert len(calls) == len(set(text)) == 8
+        assert calls == list(dict.fromkeys(text))
+        assert len(bs.blocks) == len(text)
+        assert len(set(bs.blocks)) == len(set(text))
+
+    def test_one_decrypt_block_call_per_distinct_block(self, toy_keypair, monkeypatch):
+        text = b"abracadabra, banana bandana"
+        bs = encrypt_message(text, toy_keypair.public, CODEC_TOY_ASCII)
+        calls = self._count_calls(monkeypatch, "decrypt_block")
+        assert decrypt_message(bs, toy_keypair.private) == text
+        assert calls == list(dict.fromkeys(bs.blocks))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
+    def test_first_block_at_or_above_n_is_named(self, toy_keypair, crt):
+        sk = toy_keypair.private if crt else PrivateKey(997, 3099521)
+        n = sk.n
+        bs = block_seq((469428, n + 5, n, n + 5, 547387), CODEC_TOY_ASCII, n)
+        with pytest.raises(BlockTooLarge, match=f"^block {n + 5} is not below"):
+            decrypt_message(bs, sk)
+
+    def test_first_negative_block_is_named(self, toy_keypair):
+        n = toy_keypair.private.n
+        bs = block_seq((469428, -7, n, -3), CODEC_TOY_ASCII, n)
+        with pytest.raises(ValueError, match="^block must be non-negative, got -7$"):
+            decrypt_message(bs, toy_keypair.private)
+        bs = block_seq((469428, n, -7), CODEC_TOY_ASCII, n)
+        with pytest.raises(BlockTooLarge, match=f"^block {n} is not below"):
+            decrypt_message(bs, toy_keypair.private)
+
+
 class TestCrackPrivateKey:
     def test_worked_example(self, toy_keypair):
         report = crack_private_key(toy_keypair.public)
@@ -258,6 +338,20 @@ class TestCrackPrivateKey:
         assert tuple(sorted(rsa.rsa_recover_prime_factors(n, e, report.d))) == (
             report.p, report.q)
 
+    # A prime n makes every rho cycle close with gcd = n, so without the
+    # check the loop would bump c forever; the deadline keeps a regression
+    # from hanging the suite.
+    @pytest.mark.parametrize("n", [-15, 0, 1, 2, 3, 1000003, 2**61 - 1])
+    def test_pollard_rho_needs_a_composite(self, n):
+        with pytest.raises(NoFactor):
+            cipher._pollard_rho_factor(n, perf_counter() + 1.0)
+
+    def test_pollard_rho_splits_every_small_composite(self):
+        for n in range(4, 3000):
+            if smallest_factor(n) != n:
+                f = cipher._pollard_rho_factor(n, perf_counter() + 1.0)
+                assert 1 < f < n and n % f == 0
+
     def test_unknown_method(self, toy_keypair):
         with pytest.raises(ValueError):
             crack_private_key(toy_keypair.public, "quantum")
@@ -274,6 +368,11 @@ def _least_prime_factors(limit):
 
 
 class TestSmallestFactor:
+    @pytest.mark.parametrize("n", [1, 0, -1, -9, -(2**70)])
+    def test_below_two_rejected(self, n):
+        with pytest.raises(NoFactor, match=f"^{n} has no prime factor"):
+            smallest_factor(n)
+
     def test_matches_sieve_below_50000(self):
         spf = _least_prime_factors(50_000)
         assert [smallest_factor(n) for n in range(2, 50_000)] == spf[2:]

@@ -69,6 +69,15 @@ class TestKeygen:
                    str(tmp_path / "k")])
         assert res.code == 2
 
+    def test_flags_do_not_carry_over_between_calls(self, cli, tmp_path):
+        fixed = cli(["keygen", "--bits", "12", "--seed", "42", "--e", "65537",
+                     "--retain-pq", "--out", str(tmp_path / "f")])
+        after = cli(["keygen", "--bits", "12", "--seed", "42", "--out",
+                     str(tmp_path / "a")])
+        assert fixed.code == 0 and after.code == 0
+        assert b"e=65537\n" in fixed.out and b"p=" in fixed.out
+        assert b"e=65537\n" not in after.out and b"p=" not in after.out
+
     def test_unknown_flag_rejected(self, cli, tmp_path):
         res = cli(["keygen", "--bits", "12", "--seed", "1", "--out",
                    str(tmp_path / "k"), "--fast"])
@@ -425,6 +434,7 @@ README_EXIT_CODES = {
     "MalformedBlock": 3,
     "BlockTooLarge": 5,
     "NotSemiprime": 3,
+    "NoFactor": 3,
     "CrackTimeout": 6,
 }
 
