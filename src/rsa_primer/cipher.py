@@ -19,10 +19,10 @@ reasonable timeout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from time import perf_counter
 
 from . import codec
+from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, generate_keypair
@@ -124,8 +124,7 @@ def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -
 # --- key recovery ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrackReport:
+class CrackReport(Record):
     """Everything recovered by factoring a public modulus, p <= q."""
 
     p: int
@@ -136,8 +135,7 @@ class CrackReport:
     method: str
 
 
-@dataclass(frozen=True)
-class CrackTrial:
+class CrackTrial(Record):
     """One benchmark measurement; ``elapsed`` is wall-clock seconds."""
 
     bits_per_prime: int

@@ -122,12 +122,7 @@ def _positive_float(text: str) -> float:
 
 
 def _bits_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated bit widths, got {text!r}"
-        ) from None
+    values = [_natural(part) for part in text.split(",") if part]
     if not values or any(v < 4 for v in values):
         raise argparse.ArgumentTypeError("each bit width must be at least 4")
     return values
@@ -272,6 +267,9 @@ def _cmd_crack(args: argparse.Namespace) -> int:
         return 0
     if args.key is None:
         _fail("crack needs --key (or --csv with --bits and --seed)")
+        return 2
+    if args.bits is not None or args.seed is not None:
+        _fail("crack --bits and --seed need --csv")
         return 2
     pk = public_part(_load_key_file(args.key))
     report = crack_private_key(pk, args.method, args.timeout)

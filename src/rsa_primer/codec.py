@@ -13,8 +13,7 @@ blocks each strictly less than n.  Two codecs are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import (
     BlockOutOfRange,
     MalformedBlock,
@@ -45,8 +44,7 @@ CODEC_CHUNKED = "chunked"
 CODECS = (CODEC_TOY_ASCII, CODEC_CHUNKED)
 
 
-@dataclass(frozen=True)
-class BlockSeq:
+class BlockSeq(Record):
     """An ordered run of message or cipher blocks plus codec bookkeeping.
 
     ``n_digits`` is the decimal digit count of the modulus and sets the

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import InvalidPublicExponent, MalformedKeyFile
 from .number_theory import (
     Rng64,
@@ -41,14 +41,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(Record):
     e: int
     n: int
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(Record, derived=("crt",)):
     """The exponent d and modulus n, plus CRT values when the factors are known.
 
     ``crt`` is (p, q, dP, dQ, qInv), set only for keys made or parsed with
@@ -59,13 +57,10 @@ class PrivateKey:
 
     d: int
     n: int
-    crt: tuple[int, int, int, int, int] | None = field(
-        default=None, compare=False, repr=False
-    )
+    crt: tuple[int, int, int, int, int] | None = None
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """The secrets behind a key pair: factors of n and the totient."""
 
     p: int
@@ -73,8 +68,7 @@ class Provenance:
     phi: int
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     public: PublicKey
     private: PrivateKey
     provenance: Provenance | None = None

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsa_primer import cipher, codec
+from rsa_primer._record import replace
 from rsa_primer.cipher import (
     METHODS,
     POLLARD_RHO,

@@ -274,6 +274,21 @@ class TestCrack:
         assert res.code == 2
         assert res.out == b""
 
+    @pytest.mark.parametrize("bits", ["1_0", "+8", "٨", " 8", "8,+10", "8,1_0"])
+    def test_csv_bits_take_ascii_digits_only(self, cli, bits):
+        res = cli(["crack", "--csv", "--bits", bits, "--seed", "3", "--trials", "1"])
+        assert res.code == 2
+        assert res.out == b""
+
+    @pytest.mark.parametrize("flags", [["--bits", "8"], ["--seed", "3"],
+                                       ["--bits", "8", "--seed", "3"]])
+    def test_benchmark_flags_need_csv(self, cli, toy_key_files, flags):
+        pub, _ = toy_key_files
+        res = cli(["crack", "--key", str(pub), *flags])
+        assert res.code == 2
+        assert res.out == b""
+        assert res.err == b"crack --bits and --seed need --csv\n"
+
     def test_csv_needs_bits_and_seed(self, cli):
         res = cli(["crack", "--csv", "--seed", "5"])
         assert res.code == 2

@@ -177,6 +177,18 @@ class TestCrtValues:
             assert dq == rsa.rsa_crt_dmq1(d, q)
             assert q_inv == rsa.rsa_crt_iqmp(p, q)
 
+    @pytest.mark.parametrize("bits", [16, 32, 64, 128, 256, 512])
+    def test_cryptography_accepts_the_private_key(self, bits):
+        rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+        for seed in (1, 2, 3):
+            kp = generate_keypair(bits, seed, retain_provenance=True)
+            p, q, dp, dq, q_inv = kp.private.crt
+            public = rsa.RSAPublicNumbers(kp.public.e, kp.public.n)
+            numbers = rsa.RSAPrivateNumbers(p, q, kp.private.d, dp, dq, q_inv, public)
+            key = numbers.private_key()  # raises ValueError on an inconsistent key
+            assert key.key_size == kp.public.n.bit_length()
+            assert key.private_numbers() == numbers
+
 
 GOLDEN_PUBLIC = "rsa-primer public v1\nn=3099521\ne=1012333\n"
 GOLDEN_PRIVATE = "rsa-primer private v1\nn=3099521\nd=997\n"

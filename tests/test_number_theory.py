@@ -289,6 +289,49 @@ class TestIsProbablePrime:
         # the bound itself and so takes the random-witness path
         assert not is_probable_prime(3317044064679887385961981)
 
+    # psi_k, the least strong pseudoprime to the first k prime bases
+    # (OEIS A014233; Sorenson & Webster 2017); psi_12 is the one that only
+    # the base 41 exposes
+    PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461)
+
+    def test_psi_list_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in self.PSI:
+            assert not sympy.isprime(n)
+            assert not is_probable_prime(n), n
+
+    def test_chernick_carmichael_numbers_agree_with_sympy(self):
+        # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+        # number, so it passes the Fermat test to every coprime base
+        sympy = pytest.importorskip("sympy")
+        found = 0
+        for k in range(1, 3000):
+            factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(map(sympy.isprime, factors)):
+                found += 1
+                n = math.prod(factors)
+                assert pow(2, n - 1, n) == 1
+                assert not sympy.isprime(n)
+                assert not is_probable_prime(n), n
+        assert found == 68
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_random_odd_n_around_psi13_agree_with_sympy(self, side):
+        # Below psi_13 the fixed bases decide, from it on seeded random ones.
+        sympy = pytest.importorskip("sympy")
+        psi13 = 3317044064679887385961981
+        low, high = (psi13 // 2, psi13) if side == "below" else (psi13, 2 * psi13)
+        rnd = random.Random(7)
+        samples = [rnd.randrange(low, high) | 1 for _ in range(400)]
+        samples += [sympy.prevprime(high), sympy.nextprime(low)]
+        samples += [sympy.nextprime(rnd.randrange(low, high)) for _ in range(20)]
+        assert all(low <= n < high for n in samples)
+        verdicts = [is_probable_prime(n) for n in samples]
+        assert verdicts == [sympy.isprime(n) for n in samples]
+        assert sum(verdicts) >= 22
+
     def test_large_prime_uses_random_witnesses(self):
         mersenne_127 = (1 << 127) - 1  # prime, above the deterministic bound
         assert is_probable_prime(mersenne_127)
