@@ -152,21 +152,28 @@ def _deadline_passed(deadline: float | None) -> bool:
 def smallest_factor(n: int, deadline: float | None = None) -> int:
     """The least prime factor of n >= 2, by trial division; n itself when prime.
 
-    Tries 2, then odd f up to isqrt(n) in chunks of 8192 candidates, and
-    raises :class:`CrackTimeout` once ``deadline`` (a ``perf_counter``
-    reading) has passed; the clock is read once after each chunk.  An n
-    below 2 has no prime factor and raises :class:`NoFactor`.
+    Tries 2 and 3, then the 6k +- 1 wheel: f and f + 2 for f = 5, 11,
+    17, ... up to isqrt(n), a third fewer divisions than every odd f
+    (Knuth, TAOCP Vol. 2, 4.5.4).  Raises :class:`CrackTimeout` once
+    ``deadline`` (a ``perf_counter`` reading) has passed; the clock is
+    read once per 8192 candidates.  An n below 2 has no prime factor and
+    raises :class:`NoFactor`.
     """
     if n < 2:
         raise NoFactor(f"{n} has no prime factor")
     if n % 2 == 0:
         return 2
+    if n % 3 == 0:
+        return 3
     stop = math.isqrt(n) + 1
-    chunk = 2 * _TIMEOUT_CHECK_EVERY
-    for start in range(3, stop, chunk):
-        for f in range(start, min(start + chunk, stop), 2):
+    chunk = 3 * _TIMEOUT_CHECK_EVERY  # 4096 pairs f, f + 2
+    for start in range(5, stop, chunk):
+        for f in range(start, min(start + chunk, stop), 6):
+            # f + 2 may pass isqrt(n); if it divides n there, n = f + 2 is prime.
             if n % f == 0:
                 return f
+            if n % (f + 2) == 0:
+                return f + 2
         if _deadline_passed(deadline):
             raise CrackTimeout(f"trial division still running at f = {start + chunk}")
     return n

@@ -175,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="benchmark bit widths, e.g. 8,12,16 (with --csv)")
     p.add_argument("--seed", type=_seed, default=None,
                    help="benchmark key seed (with --csv)")
-    p.add_argument("--trials", type=_positive, default=3,
-                   help="benchmark trials per bit width, >= 1 (with --csv)")
+    p.add_argument("--trials", type=_positive, default=None,
+                   help="benchmark trials per bit width, >= 1 (with --csv; default 3)")
     p.set_defaults(func=_cmd_crack)
 
     p = sub.add_parser("demo", help="narrated end-to-end walkthrough")
@@ -262,14 +262,14 @@ def _cmd_crack(args: argparse.Namespace) -> int:
             _fail("crack --csv needs --bits and --seed, and no --key")
             return 2
         trials = crack_benchmark(args.bits, args.seed, args.method,
-                                 args.timeout, args.trials)
+                                 args.timeout, args.trials or 3)
         sys.stdout.write(benchmark_csv(trials))
         return 0
     if args.key is None:
         _fail("crack needs --key (or --csv with --bits and --seed)")
         return 2
-    if args.bits is not None or args.seed is not None:
-        _fail("crack --bits and --seed need --csv")
+    if args.bits is not None or args.seed is not None or args.trials is not None:
+        _fail("crack --bits, --seed and --trials need --csv")
         return 2
     pk = public_part(_load_key_file(args.key))
     report = crack_private_key(pk, args.method, args.timeout)

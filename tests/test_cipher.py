@@ -387,13 +387,17 @@ class TestSmallestFactor:
             n = p * q
             assert smallest_factor(n) == min(sympy.factorint(n))
 
-    # Trial division walks odd f in chunks of 8192 candidates: the first
-    # chunk ends at 16385, the second runs 16387..32769, the third starts
-    # at 32771.  Each prime p below sits next to a chunk edge; 65537 is the
-    # last candidate of the fourth chunk and 65539 the first of the fifth.
+    # After 2 and 3, trial division tests the pair f, f + 2 for f = 5, 11,
+    # 17, ... in chunks of 4096 pairs (8192 candidates), so chunk k covers
+    # 5 + 24576k up to 24576 integers later.  The first five primes below
+    # sit next to 2^14, 2^15 and 2^16; the next four hold the four edge
+    # slots of the wheel: 73727 is the f of chunk 2's last pair, 147457 the
+    # f + 2 of chunk 5's last pair, 49157 the f of chunk 2's first pair and
+    # 122887 the f + 2 of chunk 5's first pair.
     @pytest.mark.parametrize("p, next_p", [
         (16381, 16411), (16411, 16417), (32749, 32771), (32771, 32779),
         (65537, 65539),
+        (73727, 73751), (147457, 147481), (49157, 49169), (122887, 122891),
     ])
     def test_primes_next_to_chunk_edges(self, p, next_p):
         assert smallest_factor(p) == p

@@ -281,13 +281,20 @@ class TestCrack:
         assert res.out == b""
 
     @pytest.mark.parametrize("flags", [["--bits", "8"], ["--seed", "3"],
-                                       ["--bits", "8", "--seed", "3"]])
+                                       ["--bits", "8", "--seed", "3"],
+                                       ["--trials", "5"], ["--trials", "3"]])
     def test_benchmark_flags_need_csv(self, cli, toy_key_files, flags):
         pub, _ = toy_key_files
         res = cli(["crack", "--key", str(pub), *flags])
         assert res.code == 2
         assert res.out == b""
-        assert res.err == b"crack --bits and --seed need --csv\n"
+        assert res.err == b"crack --bits, --seed and --trials need --csv\n"
+
+    def test_csv_runs_three_trials_by_default(self, cli):
+        res = cli(["crack", "--csv", "--bits", "8", "--seed", "5"])
+        assert res.code == 0
+        assert [ln.split(",")[2] for ln in res.text.splitlines()[1:]] == [
+            "1", "2", "3"]
 
     def test_csv_needs_bits_and_seed(self, cli):
         res = cli(["crack", "--csv", "--seed", "5"])
