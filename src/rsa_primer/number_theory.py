@@ -14,6 +14,7 @@ callers, so identical seeds reproduce identical keys on every platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from .errors import (
     BitsTooSmall,
@@ -240,14 +241,27 @@ def _sieve(limit: int) -> tuple[int, ...]:
             flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
     return tuple(i for i in range(limit) if flags[i])
 
-_SMALL_PRIMES = _sieve(1000)
+_SMALL_PRIMES = frozenset(_sieve(1000))
+# One gcd with the product of the 168 primes below 1000 (a 1380-bit number)
+# screens n against all of them at once.  1009 is the least prime past the
+# screen, so a screened n below 1009**2 has no prime factor up to its square
+# root: it is prime, and Miller-Rabin has nothing left to prove.
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_SCREEN_LIMIT = 1009 * 1009
 
-# The 13 prime bases 2..41 are a proven deterministic test below psi_13, the
-# least strong pseudoprime to all of them (Sorenson & Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The 12 bases
-# 2..37 alone would stop at psi_12 = 318665857834031151167461.
+# psi_k is the least strong pseudoprime to the first k prime bases
+# (OEIS A014233), so below psi_k those k bases are a proven exact test:
+# psi_1..psi_8 in Jaeschke, "On strong pseudoprimes to several bases",
+# Math. Comp. 61, 1993; psi_9 = psi_10 = psi_11 in Jiang & Deng, Math.
+# Comp. 83, 2014; psi_12 and psi_13 in Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017.  Below psi_13
+# the test runs the first 1 + #{j : psi_j <= n} of the 13 bases 2..41.
+_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+        3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 _RANDOM_ROUNDS = 64
 _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
 
@@ -265,31 +279,39 @@ def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
 
 
 def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
-    """Primality verdict via Miller-Rabin.
+    """Primality verdict: a small-prime screen, then Miller-Rabin.
 
-    For n below psi_13 = 3317044064679887385961981 (about 3.3e24) the fixed
-    witness set {2, 3, ..., 41} is proven exact, so the answer is
-    deterministic and correct.  From psi_13 on, 64 rounds with witnesses
-    drawn from ``rng`` are used (a fresh stream with a fixed documented
-    seed when the caller supplies none, keeping verdicts reproducible).
+    The work is in three tiers, each proven exact where it stops:
+
+    - below 1000, n is looked up among the primes below 1000;
+    - otherwise one gcd with the product of those primes rejects any n
+      with a factor below 1000, and a survivor below 1009**2 = 1018081
+      is prime with no Miller-Rabin round at all;
+    - below psi_13 = 3317044064679887385961981 (about 3.3e24), the first
+      k prime bases, where k is 1 + the number of psi_j <= n (psi_k is the
+      least strong pseudoprime to the first k prime bases), so k <= 13 and
+      the bases are among {2, 3, ..., 41}.
+
+    From psi_13 on, 64 rounds with witnesses drawn from ``rng`` are used (a
+    fresh stream with a fixed documented seed when the caller supplies
+    none, keeping verdicts reproducible); only this tier reads ``rng``.
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
-    if n < 2:
+    if n < 1000:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    # n is odd and has no prime factor below 1000.
+    if n < _SCREEN_LIMIT:
+        return True
+    # n is odd and has no prime factor below 1009.
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     if n < _DETERMINISTIC_LIMIT:
-        witnesses = _DETERMINISTIC_BASES
+        witnesses = _DETERMINISTIC_BASES[: 1 + bisect_right(_PSI, n)]
     else:
         if rng is None:
             rng = Rng64(_DEFAULT_WITNESS_SEED)

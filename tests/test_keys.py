@@ -64,6 +64,15 @@ class TestGenerateKeypair:
         b = generate_keypair(12, 42, retain_provenance=True)
         assert a == b
 
+    @pytest.mark.parametrize("bits, text", [
+        (16, "rsa-primer pair v1\nn=2820616283\ne=877116967\nd=626587303\n"),
+        (18, "rsa-primer pair v1\nn=45107913173\ne=20820506207\nd=15767813063\n"),
+        (28, "rsa-primer pair v1\nn=47297123044389587\ne=14715580812004909\n"
+             "d=26337066149209069\n"),
+    ])
+    def test_pinned_key_files(self, bits, text):
+        assert format_keypair(generate_keypair(bits, 42)) == text
+
     def test_different_seeds_differ(self):
         assert generate_keypair(16, 1) != generate_keypair(16, 2)
 

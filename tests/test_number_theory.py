@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rsa_primer import number_theory
 from rsa_primer.errors import (
     BitsTooSmall,
     BothZero,
@@ -263,12 +264,12 @@ class TestIsProbablePrime:
         assert not is_probable_prime(561)
 
     def test_strong_pseudoprime_to_few_bases(self):
-        # composite that fools bases {2,3,5,7}; the full witness set must not
+        # psi_4 fools the bases {2,3,5,7}; its factor 151 falls to the screen
         assert 3215031751 == 151 * 751 * 28351
         assert not is_probable_prime(3215031751)
 
     def test_semiprime_with_no_small_factors(self):
-        # survives the trial-division screen, so Miller-Rabin must reject it
+        # survives the small-prime screen, so Miller-Rabin must reject it
         assert is_probable_prime(65537) and is_probable_prime(65539)
         assert not is_probable_prime(65537 * 65539)
 
@@ -338,6 +339,56 @@ class TestIsProbablePrime:
         assert is_probable_prime(mersenne_127, Rng64(99))
         assert not is_probable_prime(mersenne_127 * ((1 << 89) - 1))
 
+    def test_screen_bound_is_the_square_of_the_first_prime_past_it(self):
+        # 1009 is the least prime above 1000: an n with no prime factor
+        # below 1000 that is below 1009**2 is prime, and 1009**2 is not
+        assert not is_probable_prime(1009 * 1009)
+        assert is_probable_prime(1018057)  # the largest prime below 1009**2
+        assert not is_probable_prime(997 * 1009)
+        assert not is_probable_prime(1009 * 1013)
+
+    def test_matches_sieve_oracle_around_the_screen_bound(self):
+        low, high = 1009**2 - 10**4, 1009**2 + 10**4
+        flags = sieve_is_prime(high)
+        for n in range(low, high):
+            assert is_probable_prime(n) == flags[n], n
+
+
+class TestWitnessRounds:
+    """How many Miller-Rabin witnesses each tier of the test runs."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        calls = []
+        witness = number_theory._miller_rabin_witness
+
+        def counting(a, d, r, n):
+            calls.append(a)
+            return witness(a, d, r, n)
+
+        monkeypatch.setattr(number_theory, "_miller_rabin_witness", counting)
+
+        def count(n):
+            calls.clear()
+            verdict = is_probable_prime(n)
+            return verdict, len(calls)
+
+        return count
+
+    def test_screen_alone_settles_small_n(self, rounds):
+        assert rounds(1721) == (True, 0)
+        assert rounds(1018057) == (True, 0)
+
+    def test_first_k_bases_below_psi_k(self, rounds):
+        # 268435399, the largest 28-bit prime, lies in [psi_3, psi_4)
+        assert rounds(268435399) == (True, 4)
+        sympy = pytest.importorskip("sympy")
+        psi13 = 3317044064679887385961981
+        assert rounds(sympy.prevprime(psi13)) == (True, 13)
+
+    def test_random_rounds_from_psi13_on(self, rounds):
+        assert rounds((1 << 127) - 1) == (True, 64)
+
 
 class TestRng64:
     def test_known_step_from_state_one(self):
@@ -403,6 +454,15 @@ class TestGenPrime:
     def test_rejects_tiny_width(self):
         with pytest.raises(BitsTooSmall):
             gen_prime(3, Rng64(1))
+
+    def test_pinned_256_bit_prime_and_stream_state(self):
+        # every seeded round draws from the stream, so the prime and the
+        # state after it pin how many rounds the test ran on the way
+        rng = Rng64(1)
+        assert gen_prime(256, rng) == (
+            90414521795055489707071231387224378341596883258048563840435722193054557995647
+        )
+        assert rng.state == 0x70D0E7320CB9056
 
     def test_advances_the_stream(self):
         rng = Rng64(5)
