@@ -30,11 +30,10 @@ from .cipher import (
 from .codec import (
     CODEC_TOY_ASCII,
     CODECS,
-    BlockSeq,
-    block_seq,
     encode_toy_ascii,
     format_cipher_blocks,
     format_plain_blocks,
+    parse_cipher_blocks,
 )
 from .errors import (
     CrackTimeout,
@@ -78,16 +77,6 @@ def _fail(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
-    """Inverse of format_cipher_blocks: whitespace-separated decimal blocks."""
-    blocks: list[int] = []
-    for token in text.split():
-        if not token.isascii() or not token.isdigit():
-            raise MalformedBlock(f"ciphertext token {token!r} is not a decimal block")
-        blocks.append(int(token))
-    return block_seq(tuple(blocks), codec_id, n)
-
-
 # --- argparse plumbing -------------------------------------------------------
 
 
@@ -122,8 +111,8 @@ def _positive_float(text: str) -> float:
 
 
 def _bits_list(text: str) -> list[int]:
-    values = [_natural(part) for part in text.split(",") if part]
-    if not values or any(v < 4 for v in values):
+    values = [_natural(part) for part in text.split(",")]
+    if any(v < 4 for v in values):
         raise argparse.ArgumentTypeError("each bit width must be at least 4")
     return values
 

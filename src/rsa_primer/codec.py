@@ -36,6 +36,7 @@ __all__ = [
     "decode",
     "block_seq",
     "format_cipher_blocks",
+    "parse_cipher_blocks",
     "format_plain_blocks",
 ]
 
@@ -163,6 +164,16 @@ def block_seq(blocks: tuple[int, ...], codec_id: str, n: int) -> BlockSeq:
 def format_cipher_blocks(bs: BlockSeq) -> str:
     """Blocks in decimal, zero-padded to the modulus digit count, spaced."""
     return " ".join(str(b).zfill(bs.n_digits) for b in bs.blocks)
+
+
+def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
+    """Inverse of format_cipher_blocks: whitespace-separated decimal blocks."""
+    blocks: list[int] = []
+    for token in text.split():
+        if not token.isascii() or not token.isdigit():
+            raise MalformedBlock(f"ciphertext token {token!r} is not a decimal block")
+        blocks.append(int(token))
+    return block_seq(tuple(blocks), codec_id, n)
 
 
 def format_plain_blocks(bs: BlockSeq) -> str:

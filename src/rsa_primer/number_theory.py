@@ -157,21 +157,17 @@ def mod_pow(base: int, exponent: int, n: int) -> int:
 
 
 def gcd(a: int, b: int) -> int:
-    """Greatest common divisor by the Euclidean algorithm."""
-    _require_natural(a, "a")
-    _require_natural(b, "b")
-    if a == 0 and b == 0:
-        raise BothZero("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
+    """Greatest common divisor: the g of :func:`extended_gcd`."""
+    return extended_gcd(a, b)[0]
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclidean algorithm: (g, s, t) with s*a + t*b = g = gcd(a, b).
 
     Uses the standard iterative recurrence, so the coefficient pair is the
-    canonical one, e.g. extended_gcd(24, 14) == (2, 3, -5).
+    canonical one, e.g. extended_gcd(24, 14) == (2, 3, -5).  Its remainder
+    column (old_r, r) alone is Euclid's algorithm; :func:`gcd` reads only
+    that.
     """
     _require_natural(a, "a")
     _require_natural(b, "b")
@@ -254,14 +250,14 @@ _SCREEN_LIMIT = 1009 * 1009
 # psi_1..psi_8 in Jaeschke, "On strong pseudoprimes to several bases",
 # Math. Comp. 61, 1993; psi_9 = psi_10 = psi_11 in Jiang & Deng, Math.
 # Comp. 83, 2014; psi_12 and psi_13 in Sorenson & Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017.  Below psi_13
-# the test runs the first 1 + #{j : psi_j <= n} of the 13 bases 2..41.
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017.  With k the
+# number of psi_j <= n, k < 13 means n < psi_13: run the first k + 1 bases.
 _PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
         3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
         3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
-        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
+        3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+        3_317_044_064_679_887_385_961_981)
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13
 _RANDOM_ROUNDS = 64
 _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
 
@@ -310,8 +306,9 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _DETERMINISTIC_LIMIT:
-        witnesses = _DETERMINISTIC_BASES[: 1 + bisect_right(_PSI, n)]
+    k = bisect_right(_PSI, n)
+    if k < len(_PSI):
+        witnesses = _DETERMINISTIC_BASES[: k + 1]
     else:
         if rng is None:
             rng = Rng64(_DEFAULT_WITNESS_SEED)

@@ -132,6 +132,13 @@ class TestEncryptDecrypt:
         res = cli(["encrypt", "--key", str(pub)], stdin=b"caf\xc3\xa9")
         assert res.code == 3
 
+    def test_non_ascii_ciphertext_exits_3(self, cli, toy_key_files):
+        _, pair = toy_key_files
+        res = cli(["decrypt", "--key", str(pair)], stdin=b"0469428 \xc3\xa9")
+        assert res.code == 3
+        assert res.out == b""
+        assert res.err == b"ciphertext must be ASCII decimal blocks\n"
+
     def test_chunked_pipeline_roundtrip(self, cli, tmp_path):
         assert cli(["keygen", "--bits", "16", "--seed", "9", "--out",
                     str(tmp_path / "k")]).code == 0
@@ -143,6 +150,20 @@ class TestEncryptDecrypt:
                    "--codec", "chunked"], stdin=enc.out)
         assert dec.code == 0
         assert dec.out == payload
+
+    def test_pair_file_encrypts_like_public_file(self, cli, tmp_path):
+        plain = b"a banana, a bandana, abracadabra\nbanana\n"
+        for prefix, flags in (("k", []), ("kpq", ["--retain-pq"])):
+            assert cli(["keygen", "--bits", "16", "--seed", "7", *flags,
+                        "--out", str(tmp_path / prefix)]).code == 0
+        enc = cli(["encrypt", "--key", str(tmp_path / "k.pub")], stdin=plain)
+        assert enc.code == 0
+        assert cli(["encrypt", "--key", str(tmp_path / "kpq.key")], stdin=plain) == enc
+        for key in ("k.key", "kpq.key"):
+            dec = cli(["decrypt", "--key", str(tmp_path / key)], stdin=enc.out)
+            assert dec.code == 0
+            assert dec.out == plain
+        assert cli(["crack", "--key", str(tmp_path / "k.pub"), "--trials", "5"]).code == 2
 
     def test_block_at_modulus_exits_5(self, cli, toy_key_files):
         _, pair = toy_key_files
@@ -207,6 +228,14 @@ class TestEncryptDecrypt:
         res = cli([command, "--key", str(path)], stdin=b"0469428")
         assert res.code == 4
         assert res.out == b""
+
+    def test_non_ascii_key_file_exits_4(self, cli, tmp_path):
+        key = tmp_path / "k.pub"
+        key.write_bytes(b"rsa-primer public v1\nn=3099521\ne=1012333\xc3\xa9\n")
+        res = cli(["encrypt", "--key", str(key)], stdin=b"x")
+        assert res.code == 4
+        assert res.out == b""
+        assert res.err == f"key file error: {key}: key files are ASCII text\n".encode()
 
     def test_inconsistent_provenance_exits_4(self, cli, tmp_path, toy_key_files):
         pub, _ = toy_key_files
@@ -274,11 +303,22 @@ class TestCrack:
         assert res.code == 2
         assert res.out == b""
 
-    @pytest.mark.parametrize("bits", ["1_0", "+8", "٨", " 8", "8,+10", "8,1_0"])
+    @pytest.mark.parametrize("bits", ["1_0", "+8", "٨", " 8", "8,+10", "8,1_0",
+                                      "8,", ",8", "8,,10"])
     def test_csv_bits_take_ascii_digits_only(self, cli, bits):
-        res = cli(["crack", "--csv", "--bits", bits, "--seed", "3", "--trials", "1"])
+        res = cli(["crack", "--csv", "--bits", bits, "--seed", "3"])
         assert res.code == 2
         assert res.out == b""
+
+    @pytest.mark.parametrize("flags,reason", [
+        (["--csv", "--bits", "3", "--seed", "3"], "each bit width must be at least 4"),
+        (["--timeout", "abc"], "expected seconds, got 'abc'"),
+    ])
+    def test_bad_flag_value_exits_2_with_reason(self, cli, flags, reason):
+        res = cli(["crack", *flags])
+        assert res.code == 2
+        assert res.out == b""
+        assert reason in res.err.decode()
 
     @pytest.mark.parametrize("flags", [["--bits", "8"], ["--seed", "3"],
                                        ["--bits", "8", "--seed", "3"],
@@ -354,6 +394,11 @@ class TestCipherTextParsing:
         parsed = parse_cipher_blocks(" 019\n0084\t2 ", "toy-ascii", toy_keypair.public.n)
         assert parsed.blocks == (19, 84, 2)
 
+    def test_reader_sits_beside_its_writer(self):
+        from rsa_primer import cli, codec
+
+        assert cli.parse_cipher_blocks is codec.parse_cipher_blocks
+
     def test_parse_rejects_non_decimal(self, toy_keypair):
         from rsa_primer.cli import parse_cipher_blocks
         from rsa_primer.errors import MalformedBlock
@@ -381,6 +426,8 @@ class TestNt:
             (["factor", "12"], "2 2 3"),
             (["factor", "999999999989"], "999999999989"),  # largest prime <= 10^12
             (["factor", "847288609443"], " ".join(["3"] * 25)),  # 3^25
+            (["factor", "21743566849"], "147457 147457"),
+            (["factor", "21747105817"], "147457 147481"),
         ],
     )
     def test_utilities(self, cli, args, expected):

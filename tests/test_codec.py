@@ -10,6 +10,7 @@ from rsa_primer.codec import (
     BlockSeq,
     chunk_size_for,
     decimal_digits,
+    decode,
     decode_chunked,
     decode_toy_ascii,
     encode_chunked,
@@ -161,6 +162,15 @@ class TestChunked:
         bs = encode_toy_ascii(b"a", TOY_N)
         with pytest.raises(ValueError):
             decode_chunked(bs)
+        chunked = encode_chunked(b"a", TOY_N)
+        with pytest.raises(ValueError, match="expected a toy-ascii block sequence"):
+            decode_toy_ascii(chunked)
+        with pytest.raises(ValueError, match="expected a toy-ascii block sequence"):
+            format_plain_blocks(chunked)
+
+    def test_unknown_codec(self):
+        with pytest.raises(ValueError, match="unknown codec 'base64'"):
+            decode(BlockSeq((1,), "base64", 7))
 
 
 class TestFormatting:

@@ -151,6 +151,19 @@ class TestValidateKeypair:
         assert any("not prime" in f for f in findings)
         assert any("p*q" in f for f in findings)
 
+    @pytest.mark.parametrize("p,q,finding", [
+        (1725, 1801, "p = 1725 is not prime"),
+        (1721, 1721, "p and q are equal"),
+    ])
+    def test_provenance_finding(self, toy_keypair, p, q, finding):
+        lying = KeyPair(toy_keypair.public, toy_keypair.private,
+                        Provenance(p=p, q=q, phi=3096000))
+        assert finding in validate_keypair(lying)
+
+    def test_modulus_of_one_detected(self):
+        kp = KeyPair(PublicKey(e=3, n=1), PrivateKey(d=3, n=1))
+        assert validate_keypair(kp) == ["modulus must exceed 1"]
+
 
 class TestCrtValues:
     def test_absent_without_provenance(self):

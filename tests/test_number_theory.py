@@ -146,6 +146,10 @@ class TestGcd:
         with pytest.raises(BothZero):
             gcd(0, 0)
 
+    def test_non_int_rejected(self):
+        with pytest.raises(TypeError, match="a must be an int, got float"):
+            gcd(1.5, 2)
+
     @given(a=naturals, b=naturals)
     def test_matches_stdlib(self, a, b):
         if a == 0 and b == 0:
@@ -387,6 +391,8 @@ class TestWitnessRounds:
         assert rounds(sympy.prevprime(psi13)) == (True, 13)
 
     def test_random_rounds_from_psi13_on(self, rounds):
+        # 3317044064679887385962123 is the least prime above psi_13
+        assert rounds(3317044064679887385962123) == (True, 64)
         assert rounds((1 << 127) - 1) == (True, 64)
 
 
