@@ -153,17 +153,21 @@ class TestEncryptDecrypt:
 
     def test_pair_file_encrypts_like_public_file(self, cli, tmp_path):
         plain = b"a banana, a bandana, abracadabra\nbanana\n"
+        (tmp_path / "plain.txt").write_bytes(plain)
         for prefix, flags in (("k", []), ("kpq", ["--retain-pq"])):
             assert cli(["keygen", "--bits", "16", "--seed", "7", *flags,
                         "--out", str(tmp_path / prefix)]).code == 0
-        enc = cli(["encrypt", "--key", str(tmp_path / "k.pub")], stdin=plain)
-        assert enc.code == 0
-        assert cli(["encrypt", "--key", str(tmp_path / "kpq.key")], stdin=plain) == enc
-        for key in ("k.key", "kpq.key"):
-            dec = cli(["decrypt", "--key", str(tmp_path / key)], stdin=enc.out)
+        for enc_key, dec_key, ct in (("k.pub", "k.key", "ct"),
+                                     ("kpq.key", "kpq.key", "ctpq")):
+            enc = cli(["encrypt", "--key", str(tmp_path / enc_key),
+                       "--in", str(tmp_path / "plain.txt")])
+            assert enc.code == 0
+            (tmp_path / ct).write_bytes(enc.out)
+            dec = cli(["decrypt", "--key", str(tmp_path / dec_key),
+                       "--in", str(tmp_path / ct)])
             assert dec.code == 0
             assert dec.out == plain
-        assert cli(["crack", "--key", str(tmp_path / "k.pub"), "--trials", "5"]).code == 2
+        assert (tmp_path / "ct").read_bytes() == (tmp_path / "ctpq").read_bytes()
 
     def test_block_at_modulus_exits_5(self, cli, toy_key_files):
         _, pair = toy_key_files
