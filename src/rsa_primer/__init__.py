@@ -6,52 +6,11 @@ and all reproducible from explicit seeds.  Nothing here is hardened
 cryptography; the point is to make every step of the algorithm visible.
 """
 
-from .cipher import (
-    POLLARD_RHO,
-    TRIAL_DIVISION,
-    CrackReport,
-    CrackTrial,
-    benchmark_csv,
-    benchmark_summary,
-    crack_benchmark,
-    crack_private_key,
-    decrypt_block,
-    decrypt_message,
-    encrypt_block,
-    encrypt_message,
-)
-from .codec import (
-    CODEC_CHUNKED,
-    CODEC_TOY_ASCII,
-    BlockSeq,
-    decode_chunked,
-    decode_toy_ascii,
-    encode_chunked,
-    encode_toy_ascii,
-    format_cipher_blocks,
-)
-from .keys import (
-    KeyPair,
-    PrivateKey,
-    Provenance,
-    PublicKey,
-    generate_keypair,
-    keypair_from_primes,
-    validate_keypair,
-)
-from .number_theory import (
-    Rng64,
-    extended_gcd,
-    gcd,
-    gen_prime,
-    is_congruent,
-    is_probable_prime,
-    mod_inverse,
-    mod_pow,
-    mod_reduce,
-    rng_next,
-    totient_bruteforce,
-    totient_of_semiprime,
-)
+# The package exports every name in the __all__ of the four library modules.
+# cli stays out, so that importing the library does not load argparse.
+from .cipher import *
+from .codec import *
+from .keys import *
+from .number_theory import *
 
 __version__ = "0.1.0"

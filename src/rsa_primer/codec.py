@@ -78,7 +78,7 @@ def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:
     for b in text:
         if b >= 128:
             raise NonAsciiByte(f"byte 0x{b:02x} is not ASCII")
-    return BlockSeq(tuple(text), CODEC_TOY_ASCII, decimal_digits(n))
+    return block_seq(tuple(text), CODEC_TOY_ASCII, n)
 
 
 def decode_toy_ascii(bs: BlockSeq) -> bytes:
@@ -106,7 +106,7 @@ def encode_chunked(data: bytes, n: int) -> BlockSeq:
             blocks.append(int.from_bytes(data[i * k : (i + 1) * k], "big"))
         tail = data[full * k :]
         blocks.append(int.from_bytes(bytes([len(tail)]) + tail, "big"))
-    return BlockSeq(tuple(blocks), CODEC_CHUNKED, decimal_digits(n), k)
+    return block_seq(tuple(blocks), CODEC_CHUNKED, n)
 
 
 def decode_chunked(bs: BlockSeq) -> bytes:

@@ -184,13 +184,12 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 # Then, in this order, one `name=<decimal>` per line, with no leading zeros:
 #   public:  n, e
 #   private: n, d
-#   pair:    n, e, d, and optionally the provenance trio p, q, phi, which
-#            must pass validate_keypair
+#   pair:    n, e, d, and optionally the provenance trio p, q, phi; the
+#            whole pair must pass validate_keypair
 # Every line ends with \n; no other whitespace is tolerated.  n must exceed
 # 1, and e and d must be odd and at least 3: phi(n) is even, 1 < e < phi(n)
 # and e*d = 1 (mod phi(n)), so no other exponent can be a working key.
 
-_HEADER_RE = re.compile(r"^rsa-primer (public|private|pair) v1$")
 _FIELD_RE = re.compile(r"^([a-z]+)=(0|[1-9][0-9]*)$")
 
 _FIELDS_BY_KIND = {
@@ -199,6 +198,7 @@ _FIELDS_BY_KIND = {
     "pair": ("n", "e", "d"),
 }
 _PROVENANCE_FIELDS = ("p", "q", "phi")
+_KIND_BY_HEADER = {f"rsa-primer {kind} v1": kind for kind in _FIELDS_BY_KIND}
 
 
 def format_public_key(pk: PublicKey) -> str:
@@ -220,17 +220,17 @@ def format_keypair(kp: KeyPair) -> str:
 def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
     """Parse a key file, enforcing the format bit-exactly.
 
-    A pair file that carries p, q and phi must be consistent with its n, e
-    and d, or :class:`MalformedKeyFile` is raised: its private key decrypts
-    by CRT, trusting p and q.
+    A pair file must pass :func:`validate_keypair`, or
+    :class:`MalformedKeyFile` is raised: without p, q and phi its e and d
+    must round-trip the probes; with them, the trio must be consistent with
+    n, e and d, since the private key then decrypts by CRT, trusting p and q.
     """
     if not text.endswith("\n"):
         raise MalformedKeyFile("key file must end with a newline")
     lines = text.split("\n")[:-1]  # not empty: text ends with a newline
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
+    kind = _KIND_BY_HEADER.get(lines[0])
+    if kind is None:
         raise MalformedKeyFile(f"unrecognized header line: {lines[0]!r}")
-    kind = header.group(1)
 
     expected = _FIELDS_BY_KIND[kind]
     body = lines[1:]
@@ -260,14 +260,16 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
     if kind == "private":
         return private
     public = PublicKey(e=values["e"], n=values["n"])
-    if "p" not in values:
-        return KeyPair(public, private)
-    p, q = values["p"], values["q"]
-    provenance = Provenance(p, q, values["phi"])
+    provenance = None
+    if "p" in values:
+        provenance = Provenance(values["p"], values["q"], values["phi"])
     findings = validate_keypair(KeyPair(public, private, provenance))
     if findings:
-        raise MalformedKeyFile("inconsistent provenance: " + "; ".join(findings))
-    return KeyPair(public, _crt_private_key(private.d, p, q), provenance)
+        what = "pair" if provenance is None else "provenance"
+        raise MalformedKeyFile(f"inconsistent {what}: " + "; ".join(findings))
+    if provenance is not None:
+        private = _crt_private_key(private.d, provenance.p, provenance.q)
+    return KeyPair(public, private, provenance)
 
 
 def public_part(key: PublicKey | PrivateKey | KeyPair) -> PublicKey:

@@ -251,6 +251,20 @@ class TestEncryptDecrypt:
         assert res.code == 4
         assert res.out == b""
 
+    @pytest.mark.parametrize(
+        "command,stdin",
+        [("encrypt", b"A"), ("decrypt", b"2206027"), ("crack", b"")],
+    )
+    def test_inconsistent_plain_pair_exits_4(self, cli, tmp_path, command, stdin):
+        # e and d that do not invert each other: 2206027 is "A" encrypted
+        # with this e, and decrypting it with this d once printed "M", exit 0
+        lie = tmp_path / "lie.key"
+        lie.write_bytes(b"rsa-primer pair v1\nn=3099521\ne=1012333\nd=4657\n")
+        res = cli([command, "--key", str(lie)], stdin=stdin)
+        assert res.code == 4
+        assert res.out == b""
+        assert res.err.decode().startswith(f"key file error: {lie}: inconsistent")
+
     def test_missing_key_file_exits_1(self, cli, tmp_path):
         res = cli(["encrypt", "--key", str(tmp_path / "nope.pub")], stdin=b"x")
         assert res.code == 1

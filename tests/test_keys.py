@@ -256,6 +256,10 @@ class TestKeyFileFormat:
         with pytest.raises(MalformedKeyFile, match="provenance"):
             parse_key_file(lying)
 
+    def test_parse_rejects_inconsistent_plain_pair(self):
+        with pytest.raises(MalformedKeyFile, match="^inconsistent pair: "):
+            parse_key_file(GOLDEN_PAIR.replace("d=997", "d=4657"))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -284,6 +288,13 @@ class TestKeyFileFormat:
             # 1 < e < phi and e*d = 1 (mod phi) rule out d = 1
             "rsa-primer private v1\nn=3099521\nd=1\n",
             "rsa-primer pair v1\nn=3099521\ne=1012333\nd=1\n",
+            # e and d that do not invert each other fail the round trip
+            "rsa-primer pair v1\nn=3099521\ne=1012333\nd=4657\n",
+            # the header line is matched exactly
+            "rsa-primer public v1 \nn=3099521\ne=1012333\n",
+            "rsa-primer public v1\r\nn=3099521\ne=1012333\n",
+            "Rsa-primer public v1\nn=3099521\ne=1012333\n",
+            "rsa-primer  public v1\nn=3099521\ne=1012333\n",
         ],
     )
     def test_parse_rejects_malformed(self, text):
