@@ -9,7 +9,8 @@ usual Euler-theorem derivation only covers gcd(M, n) = 1; the test suite
 exercises those residues deliberately.
 
 The attack half recovers a private key from a public one by factoring n,
-either by trial division (didactic, obviously correct) or Pollard rho with
+either by trial division (didactic, obviously correct: the primes below
+2^20 from a table built on first use, then 6k +- 1) or Pollard rho with
 Brent cycle detection (scales far enough to make timing curves
 interesting).  Both honor a wall-clock budget so the hardness story can be
 told with data: toy keys fall instantly, 64-bit-per-prime keys outlive any
@@ -19,6 +20,8 @@ reasonable timeout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from time import perf_counter
 
 from . import codec
@@ -26,7 +29,7 @@ from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, generate_keypair
-from .number_theory import Rng64, is_probable_prime, mod_inverse
+from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
 
 __all__ = [
     "TRIAL_DIVISION",
@@ -149,25 +152,56 @@ def _deadline_passed(deadline: float | None) -> bool:
     return deadline is not None and perf_counter() > deadline
 
 
+# Trial division divides by a table of the primes below a power of two,
+# built from number_theory's sieve the first time a call needs it and
+# replaced, never mutated, by one up to the next power of two above
+# isqrt(n), at most the cap.  An array of C ints holds the 82025 primes
+# below the cap in 328 KB; a list would need 36 bytes per prime (a
+# pointer and an int object), nine times that.
+_TABLE_CAP = 1 << 20
+_WHEEL_START = _TABLE_CAP + 1  # 2^20 + 1 = 6k - 1: the first wheel f past the table
+_prime_table: tuple[int, Sequence[int]] = (2, ())  # (limit, the primes below it)
+
+
+def _primes_below(limit: int) -> Sequence[int]:
+    # Every prime below limit, and perhaps more: the table only grows.
+    global _prime_table
+    if _prime_table[0] < limit:
+        from array import array  # a shared library: loaded here, not at import
+
+        _prime_table = (limit, array("I", _sieve(limit)))
+    return _prime_table[1]
+
+
 def smallest_factor(n: int, deadline: float | None = None) -> int:
     """The least prime factor of n >= 2, by trial division; n itself when prime.
 
-    Tries 2 and 3, then the 6k +- 1 wheel: f and f + 2 for f = 5, 11,
-    17, ... up to isqrt(n), a third fewer divisions than every odd f
-    (Knuth, TAOCP Vol. 2, 4.5.4).  Raises :class:`CrackTimeout` once
-    ``deadline`` (a ``perf_counter`` reading) has passed; the clock is
-    read once per 8192 candidates.  An n below 2 has no prime factor and
-    raises :class:`NoFactor`.
+    Divides by the primes up to isqrt(n) while they lie below 2^20, then,
+    for a larger isqrt(n), by f and f + 2 for f = 2^20 + 1, 2^20 + 7, ...:
+    after 2 and 3 only f = 6k +- 1 can be a least prime factor (Knuth,
+    TAOCP Vol. 2, 4.5.4, Algorithm A needs any divisor sequence that
+    holds every prime up to isqrt(n)).  The primes come from a table built
+    on first need and kept for the process.  Raises :class:`CrackTimeout`
+    once ``deadline`` (a ``perf_counter`` reading) has passed; the clock is
+    read once per 8192 divisions, the first time after the table is built.
+    An n below 2 has no prime factor and raises :class:`NoFactor`.
     """
     if n < 2:
         raise NoFactor(f"{n} has no prime factor")
-    if n % 2 == 0:
-        return 2
-    if n % 3 == 0:
-        return 3
-    stop = math.isqrt(n) + 1
+    root = math.isqrt(n)
+    primes = _primes_below(min(1 << root.bit_length(), _TABLE_CAP))
+    stop = bisect_right(primes, root)
+    for start in range(0, stop, _TIMEOUT_CHECK_EVERY):
+        for p in primes[start : min(start + _TIMEOUT_CHECK_EVERY, stop)]:
+            if n % p == 0:
+                return p
+        if _deadline_passed(deadline):
+            raise CrackTimeout(f"trial division still running at p = {p}")
+    if root < _TABLE_CAP:
+        return n
+    stop = root + 1
     chunk = 3 * _TIMEOUT_CHECK_EVERY  # 4096 pairs f, f + 2
-    for start in range(5, stop, chunk):
+    for start in range(_WHEEL_START, stop, chunk):
         for f in range(start, min(start + chunk, stop), 6):
             # f + 2 may pass isqrt(n); if it divides n there, n = f + 2 is prime.
             if n % f == 0:

@@ -198,23 +198,33 @@ _FIELDS_BY_KIND = {
     "pair": ("n", "e", "d"),
 }
 _PROVENANCE_FIELDS = ("p", "q", "phi")
-_KIND_BY_HEADER = {f"rsa-primer {kind} v1": kind for kind in _FIELDS_BY_KIND}
+_HEADER_BY_KIND = {kind: f"rsa-primer {kind} v1" for kind in _FIELDS_BY_KIND}
+_KIND_BY_HEADER = {header: kind for kind, header in _HEADER_BY_KIND.items()}
+
+
+def _format_key_file(kind: str, values: dict[str, object]) -> str:
+    # The kind's header, then its table's fields in order; a pair whose
+    # values hold its provenance adds the trio.
+    names = _FIELDS_BY_KIND[kind]
+    if kind == "pair" and "p" in values:
+        names += _PROVENANCE_FIELDS
+    lines = [_HEADER_BY_KIND[kind], *(f"{name}={values[name]}" for name in names)]
+    return "\n".join(lines) + "\n"
 
 
 def format_public_key(pk: PublicKey) -> str:
-    return f"rsa-primer public v1\nn={pk.n}\ne={pk.e}\n"
+    return _format_key_file("public", vars(pk))
 
 
 def format_private_key(sk: PrivateKey) -> str:
-    return f"rsa-primer private v1\nn={sk.n}\nd={sk.d}\n"
+    return _format_key_file("private", vars(sk))
 
 
 def format_keypair(kp: KeyPair) -> str:
-    text = f"rsa-primer pair v1\nn={kp.public.n}\ne={kp.public.e}\nd={kp.private.d}\n"
+    values = {**vars(kp.private), **vars(kp.public)}
     if kp.provenance is not None:
-        pr = kp.provenance
-        text += f"p={pr.p}\nq={pr.q}\nphi={pr.phi}\n"
-    return text
+        values.update(vars(kp.provenance))
+    return _format_key_file("pair", values)
 
 
 def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
+from itertools import chain, compress
 
 from .errors import (
     BitsTooSmall,
@@ -229,13 +231,18 @@ def totient_bruteforce(n: int) -> int:
     return sum(1 for x in range(1, n) if math.gcd(x, n) == 1)
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
+def _sieve(limit: int) -> Iterator[int]:
+    # The primes below limit >= 3, in order, by Eratosthenes on the odd
+    # numbers: flags[i] stands for 2i + 1, and an odd prime p strikes
+    # p*p, p*p + 2p, ...
+    flags = bytearray([1]) * (limit // 2)
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit - 1) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return tuple(i for i in range(limit) if flags[i])
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return chain((2,), compress(range(1, limit, 2), flags))
+
 
 _SMALL_PRIMES = frozenset(_sieve(1000))
 # One gcd with the product of the 168 primes below 1000 (a 1380-bit number)

@@ -387,23 +387,55 @@ class TestSmallestFactor:
             n = p * q
             assert smallest_factor(n) == min(sympy.factorint(n))
 
-    # After 2 and 3, trial division tests the pair f, f + 2 for f = 5, 11,
-    # 17, ... in chunks of 4096 pairs (8192 candidates), so chunk k covers
-    # 5 + 24576k up to 24576 integers later.  The first five primes below
-    # sit next to 2^14, 2^15 and 2^16; the next four hold the four edge
-    # slots of the wheel: 73727 is the f of chunk 2's last pair, 147457 the
-    # f + 2 of chunk 5's last pair, 49157 the f of chunk 2's first pair and
-    # 122887 the f + 2 of chunk 5's first pair.
+    # Below 10^13, isqrt(n) reaches past the table's 2^20, so an n with no
+    # factor in the table goes on to the wheel.
+    def test_matches_sympy_on_random_n_across_the_cap(self):
+        sympy = pytest.importorskip("sympy")
+        rnd = random.Random(20261018)
+        for _ in range(3000):
+            n = rnd.randrange(2, 10**13)
+            assert smallest_factor(n) == min(sympy.factorint(n))
+
+    # The table holds the primes below 2^20; past it the wheel starts at
+    # f = 2^20 + 1 = 6k - 1, whose pair (1048577 = 17 * 61681, 1048579 =
+    # 7 * 163 * 919) holds no prime, so 1048583 and 1048589 are the first
+    # primes the wheel meets.  1048573 is the last prime in the table.
+    @pytest.mark.parametrize("p", [1048573, 1048583, 1048589])
+    @pytest.mark.parametrize("q", [1048573, 1048583, 1048589])
+    def test_primes_next_to_the_cap(self, p, q):
+        assert cipher._WHEEL_START == 1048577 == 2**20 + 1
+        assert smallest_factor(p) == p
+        assert smallest_factor(p * q) == min(p, q)
+
+    def test_table_stops_at_the_cap(self):
+        n = generate_keypair(80, 20261018).public.n
+        with pytest.raises(CrackTimeout):
+            smallest_factor(n, perf_counter() + 0.05)
+        assert len(cipher._prime_table[1]) <= 82025  # pi(2^20)
+        assert [smallest_factor(m) for m in (4, 9, 15, 49, 9409, 84017**2)] == [
+            2, 3, 3, 7, 97, 84017]
+
+    # The table is tried in chunks of 8192 slots between clock reads.  The
+    # first five primes below sit next to 2^14, 2^15 and 2^16; the next
+    # four at the chunk edges of a 6k +- 1 wheel run from f = 5; the last
+    # four at the table's first two chunk edges: slots 8191 and 8192
+    # (84017, 84047), 16383 and 16384 (180503, 180511).
     @pytest.mark.parametrize("p, next_p", [
         (16381, 16411), (16411, 16417), (32749, 32771), (32771, 32779),
         (65537, 65539),
         (73727, 73751), (147457, 147481), (49157, 49169), (122887, 122891),
+        (84017, 84047), (84047, 84053), (180503, 180511), (180511, 180533),
     ])
     def test_primes_next_to_chunk_edges(self, p, next_p):
         assert smallest_factor(p) == p
         assert smallest_factor(p * p) == p
         assert smallest_factor(p * next_p) == p
         assert smallest_factor(next_p * next_p) == next_p
+
+    def test_table_chunk_edges(self):
+        table = cipher._primes_below(2**18)
+        assert (table[8191], table[8192]) == (84017, 84047)
+        assert (table[16383], table[16384]) == (180503, 180511)
 
 
 class TestCrackBenchmark:

@@ -1,5 +1,6 @@
 import pytest
 
+from rsa_primer import keys
 from rsa_primer.errors import (
     EqualPrimes,
     InvalidPublicExponent,
@@ -231,6 +232,21 @@ class TestKeyFileFormat:
     def test_format_pair_without_provenance(self):
         kp = keypair_from_primes(1721, 1801, 1012333)
         assert format_keypair(kp) == GOLDEN_PAIR
+
+    # The writers and parse_key_file share one table of headers and fields.
+    def test_writers_follow_the_field_table(self, toy_keypair):
+        plain = keypair_from_primes(1721, 1801, 1012333)
+        written = [
+            ("public", format_public_key(toy_keypair.public), ()),
+            ("private", format_private_key(toy_keypair.private), ()),
+            ("pair", format_keypair(plain), ()),
+            ("pair", format_keypair(toy_keypair), keys._PROVENANCE_FIELDS),
+        ]
+        for kind, text, extra in written:
+            header, *body = text.split("\n")[:-1]
+            assert keys._KIND_BY_HEADER[header] == kind
+            assert [line.split("=")[0] for line in body] == [
+                *keys._FIELDS_BY_KIND[kind], *extra]
 
     def test_parse_public(self):
         assert parse_key_file(GOLDEN_PUBLIC) == PublicKey(e=1012333, n=3099521)
