@@ -352,6 +352,19 @@ class TestCrackPrivateKey:
                 f = cipher._pollard_rho_factor(n, perf_counter() + 1.0)
                 assert 1 < f < n and n % f == 0
 
+    # The exact factor rho returns pins its walk: the gcd batches, the
+    # backtrack from the batch checkpoint and the c restarts.  The moduli
+    # are generate_keypair(16, seed).public.n for seeds 1, 5 and 22.
+    @pytest.mark.parametrize("n, factor", [
+        (2251826491, 43987),  # the batch gcd overshoots; the backtrack splits n
+        (1911058337, 49727),  # the larger of the two primes
+        (1756364041, 48611),  # after a c restart
+        (245, 35),  # a composite factor
+        (143, 11),  # after a c restart
+    ])
+    def test_pollard_rho_walk_is_pinned(self, n, factor):
+        assert cipher._pollard_rho_factor(n, None) == factor
+
     def test_unknown_method(self, toy_keypair):
         with pytest.raises(ValueError):
             crack_private_key(toy_keypair.public, "quantum")
