@@ -10,11 +10,13 @@ exercises those residues deliberately.
 
 The attack half recovers a private key from a public one by factoring n,
 either by trial division (didactic, obviously correct: the primes below
-2^20 from a table built on first use, then 6k +- 1) or Pollard rho with
-Brent cycle detection (scales far enough to make timing curves
-interesting).  Both honor a wall-clock budget so the hardness story can be
-told with data: toy keys fall instantly, 64-bit-per-prime keys outlive any
-reasonable timeout.
+2^20 from a table built on first use, screened 128 at a time by one gcd
+with their product, then 6k +- 1) or Pollard rho with Brent cycle
+detection (scales far enough to make timing curves interesting; it
+multiplies 128 differences together per gcd, reducing the product once
+per four steps).  Both honor a wall-clock budget so the hardness story
+can be told with data: toy keys fall instantly, 64-bit-per-prime keys
+outlive any reasonable timeout.
 """
 
 from __future__ import annotations
@@ -157,20 +159,29 @@ def _deadline_passed(deadline: float | None) -> bool:
 # replaced, never mutated, by one up to the next power of two above
 # isqrt(n), at most the cap.  An array of C ints holds the 82025 primes
 # below the cap in 328 KB; a list would need 36 bytes per prime (a
-# pointer and an int object), nine times that.
+# pointer and an int object), nine times that.  Beside it sit the
+# products of each run of _PRIMES_PER_GCD primes (641 below the cap,
+# 223 KB as int objects in a tuple), so one gcd in C tests a whole run.
 _TABLE_CAP = 1 << 20
 _WHEEL_START = _TABLE_CAP + 1  # 2^20 + 1 = 6k - 1: the first wheel f past the table
-_prime_table: tuple[int, Sequence[int]] = (2, ())  # (limit, the primes below it)
+_PRIMES_PER_GCD = 128  # divides _TIMEOUT_CHECK_EVERY, so a clock chunk is whole runs
+# (limit, the primes below it, the product of each run of _PRIMES_PER_GCD)
+_prime_table: tuple[int, Sequence[int], Sequence[int]] = (2, (), ())
 
 
-def _primes_below(limit: int) -> Sequence[int]:
+def _primes_below(limit: int) -> tuple[Sequence[int], Sequence[int]]:
     # Every prime below limit, and perhaps more: the table only grows.
     global _prime_table
     if _prime_table[0] < limit:
         from array import array  # a shared library: loaded here, not at import
 
-        _prime_table = (limit, array("I", _sieve(limit)))
-    return _prime_table[1]
+        primes = array("I", _sieve(limit))
+        products = tuple(
+            math.prod(primes[i : i + _PRIMES_PER_GCD])
+            for i in range(0, len(primes), _PRIMES_PER_GCD)
+        )
+        _prime_table = (limit, primes, products)
+    return _prime_table[1:]
 
 
 def smallest_factor(n: int, deadline: float | None = None) -> int:
@@ -181,22 +192,31 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     after 2 and 3 only f = 6k +- 1 can be a least prime factor (Knuth,
     TAOCP Vol. 2, 4.5.4, Algorithm A needs any divisor sequence that
     holds every prime up to isqrt(n)).  The primes come from a table built
-    on first need and kept for the process.  Raises :class:`CrackTimeout`
-    once ``deadline`` (a ``perf_counter`` reading) has passed; the clock is
-    read once per 8192 divisions, the first time after the table is built.
+    on first need and kept for the process, with the product of each run
+    of 128 of them: one gcd of n with that product tests the whole run,
+    and only a run whose gcd is not 1 is divided through, in order, up to
+    isqrt(n).  Raises :class:`CrackTimeout` once ``deadline`` (a
+    ``perf_counter`` reading) has passed; the clock is read once per 8192
+    table primes (64 gcds) or wheel divisions, the first time after the
+    table is built.
     An n below 2 has no prime factor and raises :class:`NoFactor`.
     """
     if n < 2:
         raise NoFactor(f"{n} has no prime factor")
     root = math.isqrt(n)
-    primes = _primes_below(min(1 << root.bit_length(), _TABLE_CAP))
+    primes, products = _primes_below(min(1 << root.bit_length(), _TABLE_CAP))
     stop = bisect_right(primes, root)
     for start in range(0, stop, _TIMEOUT_CHECK_EVERY):
-        for p in primes[start : min(start + _TIMEOUT_CHECK_EVERY, stop)]:
-            if n % p == 0:
-                return p
+        end = min(start + _TIMEOUT_CHECK_EVERY, stop)
+        for run in range(start, end, _PRIMES_PER_GCD):
+            # The last run may reach past isqrt(n) and hold a factor of n, n
+            # itself even; the scan stops at end, so a gcd > 1 may find none.
+            if math.gcd(n, products[run // _PRIMES_PER_GCD]) != 1:
+                for p in primes[run : min(run + _PRIMES_PER_GCD, end)]:
+                    if n % p == 0:
+                        return p
         if _deadline_passed(deadline):
-            raise CrackTimeout(f"trial division still running at p = {p}")
+            raise CrackTimeout(f"trial division still running at p = {primes[end - 1]}")
     if root < _TABLE_CAP:
         return n
     stop = root + 1
@@ -213,9 +233,15 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     return n
 
 
+_RHO_GROUP = 4  # steps per reduction of q; no abs(x - y), as gcd(-a, n) = gcd(a, n)
+
+
 def _pollard_rho_factor(n: int, deadline: float | None) -> int:
     # Brent's cycle finding on x -> x^2 + c mod n (c + 1 after a cycle with no
     # factor); the clock is read once per 8192 single steps and per gcd batch.
+    # Within a 128-step gcd batch q takes the differences x - y four at a
+    # time and is reduced mod n once per four; q stays +- the product of the
+    # |x - y| mod n, so every gcd is the one a reduction per step gives.
     # A proper factor of a composite n is returned.  On a prime n every cycle
     # would close with gcd = n and c would grow forever, hence the check.
     if n < 4 or is_probable_prime(n):
@@ -235,9 +261,16 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                for _ in range(steps // _RHO_GROUP):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps % _RHO_GROUP):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
                 if _deadline_passed(deadline):

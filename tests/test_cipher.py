@@ -361,6 +361,7 @@ class TestCrackPrivateKey:
         (1756364041, 48611),  # after a c restart
         (245, 35),  # a composite factor
         (143, 11),  # after a c restart
+        (15, 3),  # in the one-step batch at r = 1, shorter than a group of four
     ])
     def test_pollard_rho_walk_is_pinned(self, n, factor):
         assert cipher._pollard_rho_factor(n, None) == factor
@@ -425,30 +426,42 @@ class TestSmallestFactor:
         with pytest.raises(CrackTimeout):
             smallest_factor(n, perf_counter() + 0.05)
         assert len(cipher._prime_table[1]) <= 82025  # pi(2^20)
-        assert [smallest_factor(m) for m in (4, 9, 15, 49, 9409, 84017**2)] == [
-            2, 3, 3, 7, 97, 84017]
+        # A prime n below the cap sits in the full table, so the gcd with its
+        # run of primes is n, yet no prime up to isqrt(n) divides it.
+        small = (4, 9, 15, 49, 9409, 84017**2, 7, 97, 719, 727, 1048573)
+        assert [smallest_factor(m) for m in small] == [
+            2, 3, 3, 7, 97, 84017, 7, 97, 719, 727, 1048573]
 
     # The table is tried in chunks of 8192 slots between clock reads.  The
     # first five primes below sit next to 2^14, 2^15 and 2^16; the next
-    # four at the chunk edges of a 6k +- 1 wheel run from f = 5; the last
+    # four at the chunk edges of a 6k +- 1 wheel run from f = 5; the next
     # four at the table's first two chunk edges: slots 8191 and 8192
-    # (84017, 84047), 16383 and 16384 (180503, 180511).
+    # (84017, 84047), 16383 and 16384 (180503, 180511).  Within a chunk,
+    # one gcd tests each run of 128 primes; the last two pairs straddle the
+    # first two run edges: slots 127 and 128 (719, 727), 255 and 256
+    # (1619, 1621).
     @pytest.mark.parametrize("p, next_p", [
         (16381, 16411), (16411, 16417), (32749, 32771), (32771, 32779),
         (65537, 65539),
         (73727, 73751), (147457, 147481), (49157, 49169), (122887, 122891),
         (84017, 84047), (84047, 84053), (180503, 180511), (180511, 180533),
+        (719, 727), (1619, 1621),
     ])
     def test_primes_next_to_chunk_edges(self, p, next_p):
         assert smallest_factor(p) == p
+        assert smallest_factor(next_p) == next_p
         assert smallest_factor(p * p) == p
         assert smallest_factor(p * next_p) == p
         assert smallest_factor(next_p * next_p) == next_p
 
     def test_table_chunk_edges(self):
-        table = cipher._primes_below(2**18)
+        table, products = cipher._primes_below(2**18)
         assert (table[8191], table[8192]) == (84017, 84047)
         assert (table[16383], table[16384]) == (180503, 180511)
+        assert (table[127], table[128]) == (719, 727)
+        assert (table[255], table[256]) == (1619, 1621)
+        assert products[1] == math.prod(table[128:256])
+        assert len(products) == -(-len(table) // 128)
 
 
 class TestCrackBenchmark:
