@@ -16,7 +16,8 @@ detection (scales far enough to make timing curves interesting; it
 multiplies 128 differences together per gcd, reducing the product once
 per four steps).  Both honor a wall-clock budget so the hardness story
 can be told with data: toy keys fall instantly, 64-bit-per-prime keys
-outlive any reasonable timeout.
+outlive any reasonable timeout.  Trial division reads the clock only on
+the wheel; the table phase before it is bounded and runs uninterrupted.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _deadline_passed(deadline: float | None) -> bool:
 # 223 KB as int objects in a tuple), so one gcd in C tests a whole run.
 _TABLE_CAP = 1 << 20
 _WHEEL_START = _TABLE_CAP + 1  # 2^20 + 1 = 6k - 1: the first wheel f past the table
-_PRIMES_PER_GCD = 128  # divides _TIMEOUT_CHECK_EVERY, so a clock chunk is whole runs
+_PRIMES_PER_GCD = 128
 # (limit, the primes below it, the product of each run of _PRIMES_PER_GCD)
 _prime_table: tuple[int, Sequence[int], Sequence[int]] = (2, (), ())
 
@@ -194,31 +195,23 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     holds every prime up to isqrt(n)).  The primes come from a table built
     on first need and kept for the process, with the product of each run
     of 128 of them: one gcd of n with that product tests the whole run,
-    and only a run whose gcd is not 1 is divided through, in order, up to
-    isqrt(n).  Raises :class:`CrackTimeout` once ``deadline`` (a
-    ``perf_counter`` reading) has passed; the clock is read once per 8192
-    table primes (64 gcds) or wheel divisions, the first time after the
-    table is built.
+    and only the first run whose gcd is not 1 is divided through, in
+    order, up to the first prime that divides n.  Raises
+    :class:`CrackTimeout` once ``deadline`` (a ``perf_counter`` reading)
+    has passed.  The clock is read once per 8192 wheel divisions, never
+    in the table phase: like the table build, the walk over the table is
+    bounded (at most 641 gcds) and is not interrupted.
     An n below 2 has no prime factor and raises :class:`NoFactor`.
     """
     if n < 2:
         raise NoFactor(f"{n} has no prime factor")
     root = math.isqrt(n)
     primes, products = _primes_below(min(1 << root.bit_length(), _TABLE_CAP))
-    stop = bisect_right(primes, root)
-    for start in range(0, stop, _TIMEOUT_CHECK_EVERY):
-        end = min(start + _TIMEOUT_CHECK_EVERY, stop)
-        for run in range(start, end, _PRIMES_PER_GCD):
-            # The last run may reach past isqrt(n) and hold a factor of n, n
-            # itself even; the scan stops at end, so a gcd > 1 may find none.
-            if math.gcd(n, products[run // _PRIMES_PER_GCD]) != 1:
-                for p in primes[run : min(run + _PRIMES_PER_GCD, end)]:
-                    if n % p == 0:
-                        return p
-        if _deadline_passed(deadline):
-            raise CrackTimeout(f"trial division still running at p = {primes[end - 1]}")
-    if root < _TABLE_CAP:
-        return n
+    for run in range(0, bisect_right(primes, root), _PRIMES_PER_GCD):
+        if math.gcd(n, products[run // _PRIMES_PER_GCD]) != 1:
+            # No earlier run shares a factor with n, so the first prime here
+            # that divides n is its least; past isqrt(n) that can only be n.
+            return next(p for p in primes[run : run + _PRIMES_PER_GCD] if n % p == 0)
     stop = root + 1
     chunk = 3 * _TIMEOUT_CHECK_EVERY  # 4096 pairs f, f + 2
     for start in range(_WHEEL_START, stop, chunk):
@@ -303,8 +296,10 @@ def crack_private_key(
     Once n = p*q is known, phi(n) = (p-1)(q-1) follows and d is just the
     inverse of e modulo phi(n), which is exactly why factoring must be hard
     for RSA to stand.  Raises :class:`CrackTimeout` when ``timeout``
-    seconds pass without a factor and :class:`NotSemiprime` when n is not a
-    product of two distinct primes.
+    seconds pass without a factor, :class:`NotSemiprime` when n is not a
+    product of two distinct primes, :class:`NotCoprime` when e has no
+    inverse modulo phi(n), and ``ValueError`` for a method not in
+    :data:`METHODS`.
     """
     if method not in _FACTOR_METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -30,6 +30,7 @@ from rsa_primer.errors import (
     BlockTooLarge,
     CrackTimeout,
     NoFactor,
+    NotCoprime,
     NotSemiprime,
 )
 from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
@@ -366,9 +367,30 @@ class TestCrackPrivateKey:
     def test_pollard_rho_walk_is_pinned(self, n, factor):
         assert cipher._pollard_rho_factor(n, None) == factor
 
+    # The first clock read follows the one step at r = 1, the second the
+    # gcd batch after it; without the batch read the walk would go on to
+    # r = 2 before it saw the deadline.
+    def test_pollard_rho_reads_the_clock_after_each_gcd_batch(self, monkeypatch):
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) == 1 else 2.0
+
+        monkeypatch.setattr(cipher, "perf_counter", clock)
+        n = generate_keypair(64, 31337).public.n
+        with pytest.raises(CrackTimeout, match=r"^pollard-rho still cycling at r = 1$"):
+            cipher._pollard_rho_factor(n, 1.0)
+        assert len(reads) == 2
+
     def test_unknown_method(self, toy_keypair):
         with pytest.raises(ValueError):
             crack_private_key(toy_keypair.public, "quantum")
+
+    def test_exponent_not_coprime_to_phi(self):
+        # 91 = 7 * 13 factors, but phi = 72 shares 3 with e, so no d exists.
+        with pytest.raises(NotCoprime, match=r"^no inverse: gcd\(3, 72\) = 3 != 1$"):
+            crack_private_key(PublicKey(3, 91))
 
 
 def _least_prime_factors(limit):
@@ -432,12 +454,11 @@ class TestSmallestFactor:
         assert [smallest_factor(m) for m in small] == [
             2, 3, 3, 7, 97, 84017, 7, 97, 719, 727, 1048573]
 
-    # The table is tried in chunks of 8192 slots between clock reads.  The
-    # first five primes below sit next to 2^14, 2^15 and 2^16; the next
-    # four at the chunk edges of a 6k +- 1 wheel run from f = 5; the next
-    # four at the table's first two chunk edges: slots 8191 and 8192
-    # (84017, 84047), 16383 and 16384 (180503, 180511).  Within a chunk,
-    # one gcd tests each run of 128 primes; the last two pairs straddle the
+    # One gcd tests each run of 128 table primes.  The first five primes
+    # below sit next to 2^14, 2^15 and 2^16; the next four at the chunk
+    # edges of a 6k +- 1 wheel run from f = 5; the next four at table slots
+    # 8191 and 8192 (84017, 84047), 16383 and 16384 (180503, 180511), which
+    # are run edges, as 128 divides 8192; the last two pairs straddle the
     # first two run edges: slots 127 and 128 (719, 727), 255 and 256
     # (1619, 1621).
     @pytest.mark.parametrize("p, next_p", [
@@ -453,6 +474,18 @@ class TestSmallestFactor:
         assert smallest_factor(p * p) == p
         assert smallest_factor(p * next_p) == p
         assert smallest_factor(next_p * next_p) == next_p
+
+    # The table walk reads no clock, as the table build before it reads
+    # none, so a least factor in the table is found after the deadline.
+    def test_table_walk_reads_no_clock(self):
+        assert smallest_factor(180511 * 180533, perf_counter() - 1) == 180511
+
+    # The wheel reads the clock once per 8192 divisions, the first time
+    # at f = 2^20 + 1 + 3 * 8192.
+    def test_wheel_reads_the_clock(self):
+        n = generate_keypair(24, 5).public.n
+        with pytest.raises(CrackTimeout, match=r"f = 1073153$"):
+            smallest_factor(n, perf_counter() - 1)
 
     def test_table_chunk_edges(self):
         table, products = cipher._primes_below(2**18)

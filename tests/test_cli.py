@@ -297,6 +297,14 @@ class TestCrack:
         first = res.err.decode().splitlines()[0]
         assert re.match(r"timed out after \d+\.\d{3}s: ", first)
 
+    def test_exponent_not_coprime_to_phi_exits_3(self, cli, tmp_path):
+        key = tmp_path / "e3.pub"
+        key.write_bytes(b"rsa-primer public v1\nn=91\ne=3\n")
+        res = cli(["crack", "--key", str(key)])
+        assert res.code == 3
+        assert res.out == b""
+        assert res.err == b"no inverse: gcd(3, 72) = 3 != 1\n"
+
     @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1"])
     def test_non_positive_or_non_finite_timeout_exits_2(self, cli, toy_key_files,
                                                         timeout):

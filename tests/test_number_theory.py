@@ -434,6 +434,17 @@ class TestRng64:
         with pytest.raises(ValueError):
             Rng64(1 << 64)
 
+    @pytest.mark.parametrize("seed, kind", [("1", "str"), (1.0, "float"), (True, "bool")])
+    def test_non_int_seed_rejected(self, seed, kind):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {kind}$"):
+            Rng64(seed)
+
+    def test_repr_shows_the_state(self):
+        rng = Rng64(1)
+        assert repr(rng) == "Rng64(0x0000000000000001)"
+        rng.next_u64()
+        assert repr(rng) == "Rng64(0x0000000002000001)"
+
 
 class TestGenPrime:
     def test_deterministic(self):

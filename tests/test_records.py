@@ -180,15 +180,24 @@ def test_pickle_and_copy_round_trip(obj):
             twin.extra = 1
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def _loaded_by_cli_import(names):
     # Compare sys.modules before and after, so what `site` loaded is ignored.
     code = (
         "import sys; before = set(sys.modules); import rsa_primer.cli; "
-        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"print(*sorted({names!r} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=env, text=True, check=True)
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == []
+
+
+def test_cli_import_leaves_array_to_the_prime_table():
+    # cipher imports array where it builds the trial-division table.
+    assert _loaded_by_cli_import({"array"}) == []
