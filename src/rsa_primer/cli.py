@@ -5,10 +5,9 @@ transcript stays human-checkable, and intermediate quantities real tools
 would hide (phi(n), block encodings, recovered factors) are printed on
 purpose; this is a teaching tool.
 
-Exit codes: 0 success; 1 file system errors; 2 invalid flags or malformed
-arguments; 3 codec or number-theory domain errors; 4 malformed key files;
-5 a block at or above the modulus; 6 cracking timeout.  stdout carries only
-payload, diagnostics go to stderr.
+Exit codes are the README's table, kept as ``exit_code`` on the classes of
+:mod:`rsa_primer.errors`.  stdout carries only payload, diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -194,15 +193,17 @@ def _read_input(infile: str | None) -> bytes:
         return fh.read()
 
 
-def _load_key_file(path: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _read_ascii(infile: str | None, error: Error) -> str:
     try:
-        text = raw.decode("ascii")
+        return _read_input(infile).decode("ascii")
     except UnicodeDecodeError:
-        raise MalformedKeyFile(f"{path}: key files are ASCII text") from None
+        raise error from None
+
+
+def _load_key_file(path: str):
+    not_ascii = MalformedKeyFile("key files are ASCII text")
     try:
-        return parse_key_file(text)
+        return parse_key_file(_read_ascii(path, not_ascii))
     except MalformedKeyFile as exc:
         raise MalformedKeyFile(f"{path}: {exc}") from None
 
@@ -233,12 +234,8 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     sk = private_part(_load_key_file(args.key))
-    raw = _read_input(args.infile)
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise MalformedBlock("ciphertext must be ASCII decimal blocks") from None
-    bs = parse_cipher_blocks(text, args.codec, sk.n)
+    not_ascii = MalformedBlock("ciphertext must be ASCII decimal blocks")
+    bs = parse_cipher_blocks(_read_ascii(args.infile, not_ascii), args.codec, sk.n)
     data = decrypt_message(bs, sk)
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
@@ -267,7 +264,7 @@ def _cmd_crack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_transcript(kp: KeyPair, message: bytes, seed_note: str | None) -> str:
+def _demo_transcript(kp: KeyPair, message: bytes, seed: int | None) -> str:
     pub, priv, pr = kp.public, kp.private, kp.provenance
     plain = encode_toy_ascii(message, pub.n)
     cipher = encrypt_message(message, pub, CODEC_TOY_ASCII)
@@ -281,8 +278,8 @@ def _demo_transcript(kp: KeyPair, message: bytes, seed_note: str | None) -> str:
         "",
         "Key setup (receiver)",
     ]
-    if seed_note is not None:
-        lines.append(f"  seed                 {seed_note}")
+    if seed is not None:
+        lines.append(f"  seed                 {seed} ({DEMO_SEEDED_BITS}-bit primes)")
     lines += [
         f"  chosen primes        p = {pr.p}, q = {pr.q}",
         f"  modulus              n = p*q = {pub.n}",
@@ -310,12 +307,9 @@ def _demo_transcript(kp: KeyPair, message: bytes, seed_note: str | None) -> str:
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.seed is None:
         kp = keypair_from_primes(DEMO_P, DEMO_Q, DEMO_E, retain_provenance=True)
-        transcript = _demo_transcript(kp, DEMO_MESSAGE, None)
     else:
         kp = generate_keypair(DEMO_SEEDED_BITS, args.seed, retain_provenance=True)
-        note = f"{args.seed} ({DEMO_SEEDED_BITS}-bit primes)"
-        transcript = _demo_transcript(kp, DEMO_MESSAGE, note)
-    sys.stdout.write(transcript)
+    sys.stdout.write(_demo_transcript(kp, DEMO_MESSAGE, args.seed))
     return 0
 
 

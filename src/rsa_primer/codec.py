@@ -16,6 +16,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import (
     BlockOutOfRange,
+    BlockTooLarge,
     MalformedBlock,
     ModulusTooSmallForCodec,
     NonAsciiByte,
@@ -172,7 +173,11 @@ def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
     for token in text.split():
         if not token.isascii() or not token.isdigit():
             raise MalformedBlock(f"ciphertext token {token!r} is not a decimal block")
-        blocks.append(int(token))
+        digits = token.lstrip("0") or "0"  # zeros count toward int()'s limit
+        try:
+            blocks.append(int(digits))
+        except ValueError:  # more digits than int() converts: more than n has
+            raise BlockTooLarge(f"a {len(digits)}-digit block is not below {n}") from None
     return block_seq(tuple(blocks), codec_id, n)
 
 

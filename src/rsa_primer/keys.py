@@ -255,7 +255,10 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
         field = _FIELD_RE.match(line)
         if field is None or field.group(1) != name:
             raise MalformedKeyFile(f"expected {name}=<canonical decimal>, got {line!r}")
-        values[name] = int(field.group(2))
+        try:
+            values[name] = int(field.group(2))
+        except ValueError as exc:  # more digits than int() converts
+            raise MalformedKeyFile(f"{name}: {exc}") from None
     if values["n"] <= 1:
         raise MalformedKeyFile(f"n must exceed 1, got {values['n']}")
     for name in ("e", "d"):

@@ -247,8 +247,8 @@ def _sieve(limit: int) -> Iterator[int]:
 _SMALL_PRIMES = frozenset(_sieve(1000))
 # One gcd with the product of the 168 primes below 1000 (a 1380-bit number)
 # screens n against all of them at once.  1009 is the least prime past the
-# screen, so a screened n below 1009**2 has no prime factor up to its square
-# root: it is prime, and Miller-Rabin has nothing left to prove.
+# screen, so a screened n in (1, 1009**2) has no prime factor up to its
+# square root: it is prime, and Miller-Rabin has nothing left to prove.
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _SCREEN_LIMIT = 1009 * 1009
 
@@ -284,12 +284,11 @@ def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
 def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     """Primality verdict: a small-prime screen, then Miller-Rabin.
 
-    The work is in three tiers, each proven exact where it stops:
+    The work is in two tiers, each proven exact where it stops:
 
-    - below 1000, n is looked up among the primes below 1000;
-    - otherwise one gcd with the product of those primes rejects any n
-      with a factor below 1000, and a survivor below 1009**2 = 1018081
-      is prime with no Miller-Rabin round at all;
+    - one gcd with the product of the primes below 1000 settles an n that
+      shares a factor with it (prime only if one of them), and a survivor
+      in (1, 1009**2 = 1018081) is prime with no Miller-Rabin round at all;
     - below psi_13 = 3317044064679887385961981 (about 3.3e24), the first
       k prime bases, where k is 1 + the number of psi_j <= n (psi_k is the
       least strong pseudoprime to the first k prime bases), so k <= 13 and
@@ -301,12 +300,10 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
-    if n < 1000:
-        return n in _SMALL_PRIMES
     if math.gcd(n, _SMALL_PRODUCT) != 1:
-        return False
+        return n in _SMALL_PRIMES
     if n < _SCREEN_LIMIT:
-        return True
+        return n > 1
     # n is odd and has no prime factor below 1009.
     d = n - 1
     r = 0

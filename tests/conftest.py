@@ -23,9 +23,11 @@ def invoke_cli(args, stdin: bytes = b"") -> CliResult:
     """Run the CLI in-process with swapped standard streams."""
     old = sys.stdin, sys.stdout, sys.stderr
     out_buf, err_buf = io.BytesIO(), io.BytesIO()
-    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
-    sys.stdout = io.TextIOWrapper(out_buf, newline="", write_through=True)
-    sys.stderr = io.TextIOWrapper(err_buf, newline="", write_through=True)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    sys.stdout = io.TextIOWrapper(out_buf, encoding="utf-8", newline="",
+                                  write_through=True)
+    sys.stderr = io.TextIOWrapper(err_buf, encoding="utf-8", newline="",
+                                  write_through=True)
     try:
         code = cli_main(list(args))
         sys.stdout.flush()

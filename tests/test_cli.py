@@ -39,14 +39,14 @@ class TestKeygen:
         assert res.code == 0
         for field in ("n=", "e=", "d=", "p=", "q=", "phi="):
             assert field in res.text
-        kp = parse_key_file((tmp_path / "k.key").read_text())
+        kp = parse_key_file((tmp_path / "k.key").read_text(encoding="ascii"))
         assert kp.provenance is not None
 
     def test_provenance_destroyed_by_default(self, cli, tmp_path):
         res = cli(["keygen", "--bits", "12", "--seed", "42", "--out",
                    str(tmp_path / "k")])
         assert res.code == 0
-        kp = parse_key_file((tmp_path / "k.key").read_text())
+        kp = parse_key_file((tmp_path / "k.key").read_text(encoding="ascii"))
         assert kp.provenance is None
         assert "p=" not in res.text
 
@@ -54,7 +54,7 @@ class TestKeygen:
         res = cli(["keygen", "--bits", "4", "--seed", "7", "--retain-pq",
                    "--out", str(tmp_path / "t")])
         assert res.code == 0
-        kp = parse_key_file((tmp_path / "t.key").read_text())
+        kp = parse_key_file((tmp_path / "t.key").read_text(encoding="ascii"))
         assert {kp.provenance.p, kp.provenance.q} == {11, 13}
 
     def test_even_exponent_rejected(self, cli, tmp_path):
@@ -240,6 +240,22 @@ class TestEncryptDecrypt:
         assert res.code == 4
         assert res.out == b""
         assert res.err == f"key file error: {key}: key files are ASCII text\n".encode()
+
+    @pytest.mark.parametrize("command", ["encrypt", "crack"])
+    def test_key_number_past_int_string_limit_exits_4(self, cli, tmp_path, command):
+        # 4400 digits: more than CPython's int() converts by default
+        key = tmp_path / "k.pub"
+        key.write_bytes(b"rsa-primer public v1\nn=" + b"1" * 4400 + b"\ne=3\n")
+        res = cli([command, "--key", str(key)], stdin=b"x")
+        assert res.code == 4
+        assert res.out == b""
+        assert res.err.startswith(f"key file error: {key}: n: ".encode())
+
+    def test_cipher_token_past_int_string_limit_exits_5(self, cli, toy_key_files):
+        _, pair = toy_key_files
+        res = cli(["decrypt", "--key", str(pair)], stdin=b"1" * 4400)
+        assert res.code == 5
+        assert res.out == b""
 
     def test_inconsistent_provenance_exits_4(self, cli, tmp_path, toy_key_files):
         pub, _ = toy_key_files
@@ -541,5 +557,5 @@ class TestExitCodes:
     @pytest.mark.parametrize("cls", Error.__subclasses__(), ids=lambda cls: cls.__name__)
     def test_exit_code_matches_readme(self, cls):
         assert cls.exit_code == README_EXIT_CODES[cls.__name__]
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        assert f"\n| {cls.exit_code} | " in readme
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert f"\n| {cls.exit_code} | " in readme.read_text(encoding="utf-8")

@@ -17,9 +17,11 @@ from rsa_primer.codec import (
     encode_toy_ascii,
     format_cipher_blocks,
     format_plain_blocks,
+    parse_cipher_blocks,
 )
 from rsa_primer.errors import (
     BlockOutOfRange,
+    BlockTooLarge,
     MalformedBlock,
     ModulusTooSmallForCodec,
     NonAsciiByte,
@@ -184,6 +186,16 @@ class TestFormatting:
 
     def test_empty(self):
         assert format_cipher_blocks(BlockSeq((), CODEC_TOY_ASCII, 7)) == ""
+
+    # CPython's int() refuses more than 4300 decimal digits by default.
+    def test_parse_strips_zero_padding_before_converting(self):
+        token = "0" * 4400 + "84"
+        assert parse_cipher_blocks(token, CODEC_TOY_ASCII, TOY_N).blocks == (84,)
+
+    def test_parse_rejects_token_past_int_string_limit(self):
+        # more significant digits than any key file's n can have
+        with pytest.raises(BlockTooLarge):
+            parse_cipher_blocks("1" * 4400, CODEC_TOY_ASCII, TOY_N)
 
     def test_pad_width_follows_modulus_digits(self):
         assert decimal_digits(143) == 3

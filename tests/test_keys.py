@@ -317,6 +317,15 @@ class TestKeyFileFormat:
         with pytest.raises(MalformedKeyFile):
             parse_key_file(text)
 
+    # CPython's int() refuses more than 4300 decimal digits by default; a
+    # field past that is a malformed key file, not a bare ValueError.
+    @pytest.mark.parametrize("name", ["n", "e"])
+    def test_parse_rejects_number_past_int_string_limit(self, name):
+        fields = {"n": "3099521", "e": "1012333", name: "1" * 4400}
+        text = f"rsa-primer public v1\nn={fields['n']}\ne={fields['e']}\n"
+        with pytest.raises(MalformedKeyFile, match=f"^{name}: "):
+            parse_key_file(text)
+
     def test_public_part_selection(self, toy_keypair):
         assert public_part(toy_keypair) == toy_keypair.public
         assert public_part(toy_keypair.public) == toy_keypair.public

@@ -380,6 +380,10 @@ class TestWitnessRounds:
         return count
 
     def test_screen_alone_settles_small_n(self, rounds):
+        assert rounds(0) == (False, 0)
+        assert rounds(1) == (False, 0)
+        assert rounds(2) == (True, 0)
+        assert rounds(997) == (True, 0)
         assert rounds(1721) == (True, 0)
         assert rounds(1018057) == (True, 0)
 

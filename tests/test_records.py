@@ -61,7 +61,7 @@ def test_repr_is_exact(obj, text):
 
 def test_readme_crack_report_example_holds(toy_keypair):
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    example = next(line for line in readme.read_text().splitlines()
+    example = next(line for line in readme.read_text(encoding="utf-8").splitlines()
                    if line.startswith("# CrackReport("))
     report = crack_private_key(toy_keypair.public)
     expected = example[2:].replace("elapsed=...", f"elapsed={report.elapsed!r}")
@@ -190,7 +190,7 @@ def _loaded_by_cli_import(names):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=env, text=True, check=True)
+                          env=env, encoding="utf-8", check=True)
     return proc.stdout.split()
 
 
