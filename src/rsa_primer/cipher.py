@@ -31,7 +31,7 @@ from . import codec
 from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
-from .keys import PrivateKey, PublicKey, generate_keypair
+from .keys import PrivateKey, PublicKey, _require_printable, generate_keypair
 from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
 
 __all__ = [
@@ -295,17 +295,19 @@ def crack_private_key(
 
     Once n = p*q is known, phi(n) = (p-1)(q-1) follows and d is just the
     inverse of e modulo phi(n), which is exactly why factoring must be hard
-    for RSA to stand.  Raises :class:`CrackTimeout` when ``timeout``
-    seconds pass without a factor, :class:`NotSemiprime` when n is not a
-    product of two distinct primes, :class:`NotCoprime` when e has no
-    inverse modulo phi(n), and ``ValueError`` for a method not in
-    :data:`METHODS`.
+    for RSA to stand.  Raises :class:`CrackTimeout`, its message led by
+    the seconds spent, when ``timeout`` seconds pass without a factor,
+    :class:`KeyTooLarge` when no key file could hold n,
+    :class:`NotSemiprime` when n is not a product of two distinct primes,
+    :class:`NotCoprime` when e has no inverse modulo phi(n), and
+    ``ValueError`` for a method not in :data:`METHODS`.
     """
     if method not in _FACTOR_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    n = pk.n
+    _require_printable(n.bit_length(), n)  # the messages below write n
     start = perf_counter()
     deadline = start + timeout if timeout is not None else None
-    n = pk.n
     if n < 6 or is_probable_prime(n):
         raise NotSemiprime(f"{n} is not a product of two distinct primes")
     try:
@@ -313,6 +315,7 @@ def crack_private_key(
     except CrackTimeout as exc:
         exc.elapsed = perf_counter() - start
         exc.method = method
+        exc.args = (f"timed out after {exc.elapsed:.3f}s: {exc}",)
         raise
     p, q = min(f, n // f), max(f, n // f)
     if p * q != n or p == q or not (is_probable_prime(p) and is_probable_prime(q)):

@@ -5,9 +5,10 @@ transcript stays human-checkable, and intermediate quantities real tools
 would hide (phi(n), block encodings, recovered factors) are printed on
 purpose; this is a teaching tool.
 
-Exit codes are the README's table, kept as ``exit_code`` on the classes of
-:mod:`rsa_primer.errors`.  stdout carries only payload, diagnostics go to
-stderr.
+A command fails by raising a class of :mod:`rsa_primer.errors`, whose
+message is the diagnostic and whose ``exit_code`` is the exit code (the
+README's table), or an ``OSError`` (exit 1); ``main`` catches nothing
+else.  stdout carries only payload, diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from .codec import (
     format_plain_blocks,
     parse_cipher_blocks,
 )
-from .errors import (
-    CrackTimeout,
-    Error,
-    MalformedBlock,
-    MalformedKeyFile,
-    OracleBoundExceeded,
-)
+from .errors import Error, MalformedBlock, MalformedKeyFile, OracleBoundExceeded
 from .keys import (
     KeyPair,
     format_keypair,
@@ -200,12 +195,14 @@ def _read_ascii(infile: str | None, error: Error) -> str:
         raise error from None
 
 
-def _load_key_file(path: str):
+def _load_key_file(path: str, part):
+    # part is public_part or private_part; every key-file diagnostic gets
+    # its prefix and path here.
     not_ascii = MalformedKeyFile("key files are ASCII text")
     try:
-        return parse_key_file(_read_ascii(path, not_ascii))
+        return part(parse_key_file(_read_ascii(path, not_ascii)))
     except MalformedKeyFile as exc:
-        raise MalformedKeyFile(f"{path}: {exc}") from None
+        raise MalformedKeyFile(f"key file error: {path}: {exc}") from None
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -224,7 +221,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
-    pk = public_part(_load_key_file(args.key))
+    pk = _load_key_file(args.key, public_part)
     data = _read_input(args.infile)
     bs = encrypt_message(data, pk, args.codec)
     if bs.blocks:
@@ -233,7 +230,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    sk = private_part(_load_key_file(args.key))
+    sk = _load_key_file(args.key, private_part)
     not_ascii = MalformedBlock("ciphertext must be ASCII decimal blocks")
     bs = parse_cipher_blocks(_read_ascii(args.infile, not_ascii), args.codec, sk.n)
     data = decrypt_message(bs, sk)
@@ -257,7 +254,7 @@ def _cmd_crack(args: argparse.Namespace) -> int:
     if args.bits is not None or args.seed is not None or args.trials is not None:
         _fail("crack --bits, --seed and --trials need --csv")
         return 2
-    pk = public_part(_load_key_file(args.key))
+    pk = _load_key_file(args.key, public_part)
     report = crack_private_key(pk, args.method, args.timeout)
     print(f"p={report.p} q={report.q} phi={report.phi} d={report.d}")
     print(f"method={report.method} elapsed={report.elapsed:.6f}s")
@@ -365,18 +362,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MalformedKeyFile as exc:
-        _fail(f"key file error: {exc}")
-        return exc.exit_code
-    except CrackTimeout as exc:
-        _fail(f"timed out after {exc.elapsed:.3f}s: {exc}")
-        return exc.exit_code
     except Error as exc:
         _fail(str(exc))
         return exc.exit_code
-    except ValueError as exc:
-        _fail(str(exc))
-        return 3
     except OSError as exc:
         _fail(f"file error: {exc}")
         return 1

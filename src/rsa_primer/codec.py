@@ -21,6 +21,7 @@ from .errors import (
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
+from .keys import _require_printable
 
 __all__ = [
     "CODEC_TOY_ASCII",
@@ -61,6 +62,7 @@ class BlockSeq(Record):
 
 
 def decimal_digits(n: int) -> int:
+    _require_printable(n.bit_length(), n)
     return len(str(n))
 
 

@@ -3,8 +3,10 @@
 Every error is a subclass of :class:`Error` so callers can catch the whole
 family with one clause.  Exit codes live here too: each class carries the
 CLI exit code it maps to as ``exit_code``, which is 3 (a codec or
-number-theory domain error) unless the class overrides it, and
-``cli.main`` returns it as is.
+number-theory domain error) unless the class overrides it.  ``cli.main``
+prints the message and returns that code; apart from a file system error
+(``OSError``, exit 1) it maps no other exception, so each failure a command
+reports is one of these classes.
 """
 
 
@@ -36,7 +38,7 @@ class EqualPrimes(Error):
 
 
 class OracleBoundExceeded(Error):
-    """A brute-force oracle was called above its documented input bound."""
+    """A brute-force oracle was called outside its documented input bound."""
 
 
 class BitsTooSmall(Error):
@@ -53,6 +55,12 @@ class ZeroState(Error):
 
 class InvalidPublicExponent(Error):
     """e must satisfy 1 < e < phi(n) and gcd(e, phi(n)) = 1."""
+    exit_code = 2
+
+
+class KeyTooLarge(Error):
+    """A modulus has more decimal digits than ``str()`` writes under
+    ``sys.get_int_max_str_digits()``, so no key file could hold it."""
     exit_code = 2
 
 
@@ -99,7 +107,8 @@ class CrackTimeout(Error):
     """Factoring exceeded its wall-clock budget.
 
     Attributes ``elapsed`` (seconds spent) and ``method`` are filled in by
-    :func:`rsa_primer.cipher.crack_private_key` before the error propagates.
+    :func:`rsa_primer.cipher.crack_private_key`, which also leads the
+    message with ``timed out after X.XXXs: `` before the error propagates.
     """
 
     exit_code = 6

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from ._record import Record
-from .errors import InvalidPublicExponent, MalformedKeyFile
+from .errors import InvalidPublicExponent, KeyTooLarge, MalformedKeyFile
 from .number_theory import (
     Rng64,
     _draw_bits,
+    _require_natural,
     gen_prime,
     is_probable_prime,
     mod_inverse,
@@ -74,6 +76,27 @@ class KeyPair(Record):
     provenance: Provenance | None = None
 
 
+# CPython limits int-string conversion from 3.10.7 on; an older interpreter
+# converts any int, as a limit of 0 does.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _require_printable(width: int, n: int | None = None) -> None:
+    """Refuse a ``width``-bit modulus whose decimal form ``str()`` cannot
+    write: n, or without it the widest such modulus 2**width - 1, has more
+    digits than ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+    """
+    limit = _max_str_digits()
+    if not limit or width <= 3 * limit:  # then n < 8**limit < 10**limit
+        return
+    ten = 10**limit
+    # 10**limit is no power of two, so 2**width - 1 < 10**limit exactly
+    # when width < ten.bit_length().
+    if (n >= ten) if n is not None else (width >= ten.bit_length()):
+        raise KeyTooLarge(f"a {width}-bit modulus has more decimal digits than "
+                          f"the int-string limit of {limit}")
+
+
 def _check_exponent(e: int, phi: int) -> None:
     if not 1 < e < phi:
         raise InvalidPublicExponent(f"e must satisfy 1 < e < {phi}, got {e}")
@@ -122,8 +145,11 @@ def generate_keypair(
     differs from p.  With ``e=None`` the public exponent is drawn as a
     uniform odd value in [3, phi) until coprime to phi (no bias toward
     large values); a caller-fixed ``e`` is validated instead and raises
-    :class:`InvalidPublicExponent` when unusable.
+    :class:`InvalidPublicExponent` when unusable.  A width whose widest
+    modulus no key file could hold raises :class:`KeyTooLarge` before any
+    prime is drawn.
     """
+    _require_printable(2 * bits_per_prime)
     rng = Rng64(seed)
     p = gen_prime(bits_per_prime, rng)
     q = gen_prime(bits_per_prime, rng)
@@ -139,6 +165,10 @@ def keypair_from_primes(
     p: int, q: int, e: int, retain_provenance: bool = False
 ) -> KeyPair:
     """Build a key pair from explicit primes, with no randomness involved."""
+    _require_natural(p, "p")
+    _require_natural(q, "q")
+    n = p * q  # refused before the primality tests, slow at such a width
+    _require_printable(n.bit_length(), n)
     return _assemble(p, q, totient_of_semiprime(p, q), e, retain_provenance)
 
 
@@ -205,6 +235,8 @@ _KIND_BY_HEADER = {header: kind for kind, header in _HEADER_BY_KIND.items()}
 def _format_key_file(kind: str, values: dict[str, object]) -> str:
     # The kind's header, then its table's fields in order; a pair whose
     # values hold its provenance adds the trio.
+    n = values["n"]
+    _require_printable(n.bit_length(), n)
     names = _FIELDS_BY_KIND[kind]
     if kind == "pair" and "p" in values:
         names += _PROVENANCE_FIELDS

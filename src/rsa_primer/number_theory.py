@@ -223,7 +223,7 @@ def totient_bruteforce(n: int) -> int:
     """
     _require_natural(n, "n")
     if n <= 1:
-        raise ValueError(f"totient oracle requires n > 1, got {n}")
+        raise OracleBoundExceeded(f"totient oracle requires n > 1, got {n}")
     if n > TOTIENT_ORACLE_BOUND:
         raise OracleBoundExceeded(
             f"totient oracle bounded at {TOTIENT_ORACLE_BOUND}, got {n}"

@@ -43,6 +43,18 @@ def cli():
     return invoke_cli
 
 
+@pytest.fixture
+def low_digit_limit():
+    """CPython's int-string limit lowered to its minimum, 640 digits, for one
+    test; the widest modulus str() then writes has 2127 bits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.fixture(scope="session")
 def toy_keypair():
     """The worked-example key: p=1721, q=1801, e=1012333, d=997."""

@@ -24,11 +24,12 @@ from rsa_primer.cipher import (
     encrypt_message,
     smallest_factor,
 )
-from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, BlockSeq, block_seq
+from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, CODECS, BlockSeq, block_seq
 from rsa_primer.errors import (
     BlockOutOfRange,
     BlockTooLarge,
     CrackTimeout,
+    KeyTooLarge,
     NoFactor,
     NotCoprime,
     NotSemiprime,
@@ -189,6 +190,11 @@ class TestMessageTransform:
         with pytest.raises(ValueError):
             encrypt_message(b"hi", toy_keypair.public, "rot13")
 
+    @pytest.mark.parametrize("codec_id", CODECS)
+    def test_modulus_past_digit_limit_refused(self, codec_id):
+        with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
+            encrypt_message(b"hi", PublicKey(3, 10**4400 + 1), codec_id)
+
 
 # Texts with many repeats (a four-symbol alphabet) and texts of any ASCII.
 _TEXTS = st.one_of(
@@ -311,12 +317,18 @@ class TestCrackPrivateKey:
         with pytest.raises(NotSemiprime):
             crack_private_key(PublicKey(e=3, n=3 * 5 * 7))
 
+    # The seconds spent lead the message of the timeout crack_private_key
+    # raises.
     def test_timeout(self):
         kp = generate_keypair(40, 31337)
         with pytest.raises(CrackTimeout) as exc_info:
             crack_private_key(kp.public, TRIAL_DIVISION, timeout=0.05)
         assert 0.05 <= exc_info.value.elapsed < 1.0
         assert exc_info.value.method == TRIAL_DIVISION
+        message = str(exc_info.value)
+        assert message.startswith(f"timed out after {exc_info.value.elapsed:.3f}s: ")
+        assert re.fullmatch(r"timed out after \d+\.\d{3}s: "
+                            r"trial division still running at f = \d+", message)
 
     def test_timeout_pollard_rho(self):
         kp = generate_keypair(64, 31337)
@@ -324,6 +336,22 @@ class TestCrackPrivateKey:
             crack_private_key(kp.public, POLLARD_RHO, timeout=0.05)
         assert 0.05 <= exc_info.value.elapsed < 1.0
         assert exc_info.value.method == POLLARD_RHO
+        message = str(exc_info.value)
+        assert message.startswith(f"timed out after {exc_info.value.elapsed:.3f}s: ")
+        assert re.fullmatch(r"timed out after \d+\.\d{3}s: "
+                            r"pollard-rho still cycling at r = \d+", message)
+
+    # 10**4400 + 1 has more decimal digits than str() writes by default, so
+    # no key file could hold it; the attack refuses it before any arithmetic.
+    @pytest.mark.parametrize("method", METHODS)
+    def test_modulus_past_digit_limit_refused(self, monkeypatch, method):
+        def untouched(*args):
+            raise AssertionError("arithmetic on n")
+
+        monkeypatch.setattr(cipher, "is_probable_prime", untouched)
+        monkeypatch.setitem(cipher._FACTOR_METHODS, method, untouched)
+        with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
+            crack_private_key(PublicKey(3, 10**4400 + 1), method)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("bits", [12, 20, 28])
@@ -484,7 +512,7 @@ class TestSmallestFactor:
     # at f = 2^20 + 1 + 3 * 8192.
     def test_wheel_reads_the_clock(self):
         n = generate_keypair(24, 5).public.n
-        with pytest.raises(CrackTimeout, match=r"f = 1073153$"):
+        with pytest.raises(CrackTimeout, match=r"^trial division still running at f = 1073153$"):
             smallest_factor(n, perf_counter() - 1)
 
     def test_table_chunk_edges(self):

@@ -5,10 +5,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rsa_primer.cipher import METHODS
+from rsa_primer.codec import CODECS
 from rsa_primer.errors import Error
-from rsa_primer.keys import format_keypair, format_public_key, parse_key_file
+from rsa_primer.keys import (
+    format_keypair,
+    format_private_key,
+    format_public_key,
+    generate_keypair,
+    parse_key_file,
+)
 
 GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
@@ -77,6 +86,25 @@ class TestKeygen:
         assert fixed.code == 0 and after.code == 0
         assert b"e=65537\n" in fixed.out and b"p=" in fixed.out
         assert b"e=65537\n" not in after.out and b"p=" not in after.out
+
+    # The widest modulus two 1064-bit primes can make, 2128 bits, may have
+    # more than the 640 decimal digits str() then writes; the key is refused
+    # before any prime is drawn, and no file is written.
+    def test_modulus_past_digit_limit_exits_2(self, cli, tmp_path, low_digit_limit):
+        res = cli(["keygen", "--bits", "1100", "--seed", "1", "--out",
+                   str(tmp_path / "k")])
+        assert res.code == 2
+        assert res.out == b""
+        assert res.err == (b"a 2200-bit modulus has more decimal digits than "
+                           b"the int-string limit of 640\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_modulus_past_default_digit_limit_exits_2(self, cli, tmp_path):
+        res = cli(["keygen", "--bits", "7200", "--seed", "1", "--out",
+                   str(tmp_path / "k")])
+        assert res.code == 2
+        assert res.err.startswith(b"a 14400-bit modulus ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_rejected(self, cli, tmp_path):
         res = cli(["keygen", "--bits", "12", "--seed", "1", "--out",
@@ -205,6 +233,23 @@ class TestEncryptDecrypt:
         priv.write_bytes(b"rsa-primer private v1\nn=3099521\nd=997\n")
         res = cli(["encrypt", "--key", str(priv)], stdin=b"x")
         assert res.code == 4
+
+    @pytest.mark.parametrize("command, kind, needed, got", [
+        ("decrypt", "pub", "private", "public-only"),
+        ("encrypt", "priv", "public", "private-only"),
+        ("crack", "priv", "public", "private-only"),
+    ])
+    def test_wrong_kind_key_file_names_its_path(self, cli, tmp_path, toy_keypair,
+                                                command, kind, needed, got):
+        path = tmp_path / f"k.{kind}"
+        key = toy_keypair.public if kind == "pub" else toy_keypair.private
+        write = format_public_key if kind == "pub" else format_private_key
+        path.write_bytes(write(key).encode())
+        res = cli([command, "--key", str(path)], stdin=b"019")
+        assert res.code == 4
+        assert res.out == b""
+        assert res.err == (f"key file error: {path}: a {needed} key is required "
+                           f"(got a {got} file)\n").encode()
 
     def test_malformed_key_file_exits_4(self, cli, tmp_path):
         bad = tmp_path / "bad.pub"
@@ -482,6 +527,7 @@ class TestNt:
         assert cli(["nt", "gcd", "0", "0"]).code == 3
         assert cli(["nt", "totient", "10000001"]).code == 3
         assert cli(["nt", "totient", "1"]).code == 3
+        assert cli(["nt", "totient", "0"]).code == 3
         assert cli(["nt", "factor", "2000000000000"]).code == 3
         assert cli(["nt", "factor", "1"]).code == 3
         assert cli(["nt", "modpow", "2", "3", "1"]).code == 3
@@ -527,6 +573,81 @@ class TestSubprocess:
         assert proc.stdout.decode().strip() == GOLDEN_CIPHERTEXT
 
 
+# Key files shaped like the format, so that fuzzing gets past the header.
+_KEY_LINES = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["n", "e", "d", "p", "q", "phi"]),
+              st.integers(0, 10**12)),
+    st.text(max_size=12),
+)
+_KEY_SHAPED = st.builds(
+    lambda kind, lines: "\n".join([f"rsa-primer {kind} v1", *lines, ""]).encode(),
+    st.sampled_from(["public", "private", "pair"]),
+    st.lists(_KEY_LINES, max_size=7),
+)
+
+
+@st.composite
+def _valid_key_and_ciphertext(draw):
+    kp = generate_keypair(draw(st.integers(8, 16)), draw(st.integers(1, 2**64 - 1)),
+                          retain_provenance=draw(st.booleans()))
+    key = draw(st.sampled_from([format_public_key(kp.public),
+                                format_private_key(kp.private), format_keypair(kp)]))
+    token = st.one_of(st.integers(0, 2 * kp.public.n).map(str),
+                      st.text("0123456789x-+ \n", max_size=8))
+    return key.encode(), " ".join(draw(st.lists(token, max_size=6))).encode()
+
+
+_SMALL = st.integers(0, 10**6)
+_NT_ARGS = {
+    "gcd": st.tuples(_SMALL, _SMALL),
+    "xgcd": st.tuples(_SMALL, _SMALL),
+    "inverse": st.tuples(_SMALL, _SMALL),
+    "modpow": st.tuples(_SMALL, _SMALL, _SMALL),
+    "totient": st.tuples(st.one_of(st.integers(0, 10**4),
+                                   st.integers(10**7 + 1, 10**30))),
+    "isprime": st.tuples(st.integers(0, 10**30)),
+    "factor": st.tuples(st.integers(0, 10**12)),
+}
+
+# The cli fixture is a plain function and each example writes its own files,
+# so sharing the function-scoped fixtures across examples is safe.
+_FUZZ = settings(deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestEveryFailureHasItsCode:
+    """main maps every failure to a documented exit code through the classes
+    of rsa_primer.errors and OSError alone: it returns 0..6 and raises
+    nothing, so an untyped error fails these tests."""
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "crack"])
+    @settings(_FUZZ, max_examples=80)
+    @given(files=st.one_of(st.tuples(st.binary(max_size=64), st.binary(max_size=64)),
+                           st.tuples(_KEY_SHAPED, st.binary(max_size=64)),
+                           _valid_key_and_ciphertext()),
+           codec=st.sampled_from(CODECS), method=st.sampled_from(METHODS))
+    def test_key_files_and_ciphertext(self, cli, tmp_path, command, files, codec,
+                                      method):
+        key, data = files
+        (tmp_path / "key").write_bytes(key)
+        (tmp_path / "in").write_bytes(data)
+        args = [command, "--key", str(tmp_path / "key")]
+        if command == "crack":
+            args += ["--method", method, "--timeout", "0.2"]
+        else:
+            args += ["--codec", codec, "--in", str(tmp_path / "in")]
+        code = cli(args).code
+        assert type(code) is int and 0 <= code <= 6
+
+    @pytest.mark.parametrize("command", _NT_ARGS)
+    @settings(_FUZZ, max_examples=30)
+    @given(data=st.data())
+    def test_nt(self, cli, command, data):
+        args = data.draw(_NT_ARGS[command])
+        code = cli(["nt", command, *map(str, args)]).code
+        assert type(code) is int and 0 <= code <= 6
+
+
 # The exit-code table of the README, by error class.
 README_EXIT_CODES = {
     "ModulusTooSmall": 3,
@@ -538,6 +659,7 @@ README_EXIT_CODES = {
     "BitsTooSmall": 2,
     "ZeroState": 2,
     "InvalidPublicExponent": 2,
+    "KeyTooLarge": 2,
     "MalformedKeyFile": 4,
     "NonAsciiByte": 3,
     "ModulusTooSmallForCodec": 3,

@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 
 from rsa_primer import keys
 from rsa_primer.errors import (
     EqualPrimes,
     InvalidPublicExponent,
+    KeyTooLarge,
     MalformedKeyFile,
     NotPrime,
     ZeroState,
@@ -337,3 +340,65 @@ class TestKeyFileFormat:
         assert private_part(toy_keypair.private) == toy_keypair.private
         with pytest.raises(MalformedKeyFile):
             private_part(toy_keypair.public)
+
+
+# CPython's str() refuses an int of more decimal digits than
+# sys.get_int_max_str_digits() allows (4300 by default, 0 for no limit), so
+# no key file could hold such a modulus: making or writing one is refused.
+HUGE_N = 10**4400 + 1  # 14617 bits; 353 divides it
+
+
+class TestModulusDigitLimit:
+    @pytest.fixture
+    def no_prime_drawn(self, monkeypatch):
+        def gen_prime(bits, rng):
+            raise AssertionError("a prime was drawn")
+
+        monkeypatch.setattr(keys, "gen_prime", gen_prime)
+
+    # 2**14284 < 10**4300 < 2**14285: of the 14285-bit moduli only those
+    # below 10**4300 have 4300 digits.
+    def test_helper_boundary(self):
+        keys._require_printable(14285, 10**4300 - 1)
+        keys._require_printable(14284)
+        with pytest.raises(KeyTooLarge, match="^a 14285-bit modulus "):
+            keys._require_printable(14285, 10**4300)
+        with pytest.raises(KeyTooLarge, match="^a 14285-bit modulus "):
+            keys._require_printable(14285)
+
+    def test_no_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert format_public_key(PublicKey(3, HUGE_N)).endswith("1\ne=3\n")
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    # Two 7142-bit primes make at most 14284 bits, which 4300 digits hold;
+    # two 7143-bit primes can make a modulus of 4301 digits.
+    @pytest.mark.parametrize("bits", [7143, 7200])
+    def test_generate_refuses_before_drawing(self, no_prime_drawn, bits):
+        with pytest.raises(KeyTooLarge, match=f"^a {2 * bits}-bit modulus "):
+            generate_keypair(bits, 1)
+
+    def test_generate_refuses_under_lowered_limit(self, no_prime_drawn, low_digit_limit):
+        with pytest.raises(KeyTooLarge, match="^a 2128-bit modulus "):
+            generate_keypair(1064, 1)
+
+    def test_from_primes_refuses_under_lowered_limit(self, low_digit_limit):
+        # two Mersenne primes, of 2203 and 2281 bits
+        with pytest.raises(KeyTooLarge, match="^a 4484-bit modulus "):
+            keypair_from_primes(2**2203 - 1, 2**2281 - 1, 65537)
+
+    def test_from_primes_refuses_before_primality(self):
+        with pytest.raises(KeyTooLarge, match="^a 14619-bit modulus "):
+            keypair_from_primes(HUGE_N, 3, 3)
+
+    @pytest.mark.parametrize("write, key", [
+        (format_public_key, PublicKey(3, HUGE_N)),
+        (format_private_key, PrivateKey(3, HUGE_N)),
+        (format_keypair, KeyPair(PublicKey(3, HUGE_N), PrivateKey(3, HUGE_N))),
+    ], ids=["public", "private", "pair"])
+    def test_writers_refuse(self, write, key):
+        with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
+            write(key)

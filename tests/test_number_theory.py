@@ -241,8 +241,10 @@ class TestTotientBruteforce:
             totient_bruteforce(10**7 + 1)
 
     def test_rejects_unit(self):
-        with pytest.raises(ValueError):
-            totient_bruteforce(1)
+        for n in (0, 1):
+            with pytest.raises(OracleBoundExceeded,
+                               match=f"^totient oracle requires n > 1, got {n}$"):
+                totient_bruteforce(n)
 
     def test_multiplicative_spot_check(self):
         for m in range(2, 40):
