@@ -21,7 +21,7 @@ from .errors import (
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
-from .keys import _require_printable
+from .keys import _decimal, _require_printable
 
 __all__ = [
     "CODEC_TOY_ASCII",
@@ -89,7 +89,7 @@ def decode_toy_ascii(bs: BlockSeq) -> bytes:
         raise ValueError(f"expected a toy-ascii block sequence, got {bs.codec_id}")
     for b in bs.blocks:
         if b >= 128:
-            raise BlockOutOfRange(f"block {b} is not an ASCII code")
+            raise BlockOutOfRange(f"block {_decimal(b)} is not an ASCII code")
     return bytes(bs.blocks)
 
 
@@ -126,14 +126,14 @@ def decode_chunked(bs: BlockSeq) -> bytes:
         try:
             out += v.to_bytes(k, "big")
         except OverflowError:
-            raise MalformedBlock(f"block {v} exceeds the {k}-byte chunk frame") from None
+            raise MalformedBlock(f"block {_decimal(v)} exceeds the {k}-byte chunk frame") from None
     tail_value = bs.blocks[-1]
     if tail_value == 0:
         return bytes(out)
     field = tail_value.to_bytes((tail_value.bit_length() + 7) // 8, "big")
     length = field[0]
     if length >= k or len(field) != length + 1:
-        raise MalformedBlock(f"final block {tail_value} has inconsistent framing")
+        raise MalformedBlock(f"final block {_decimal(tail_value)} has inconsistent framing")
     out += field[1:]
     return bytes(out)
 
@@ -171,6 +171,7 @@ def format_cipher_blocks(bs: BlockSeq) -> str:
 
 def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
     """Inverse of format_cipher_blocks: whitespace-separated decimal blocks."""
+    decimal_digits(n)  # first: only then is a block past int()'s limit past n
     blocks: list[int] = []
     for token in text.split():
         if not token.isascii() or not token.isdigit():

@@ -59,7 +59,8 @@ class InvalidPublicExponent(Error):
 
 
 class KeyTooLarge(Error):
-    """A modulus has more decimal digits than ``str()`` writes under
+    """A modulus, or another number a key file would write, has more
+    decimal digits than ``str()`` writes under
     ``sys.get_int_max_str_digits()``, so no key file could hold it."""
     exit_code = 2
 

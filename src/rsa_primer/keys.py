@@ -81,10 +81,11 @@ class KeyPair(Record):
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _require_printable(width: int, n: int | None = None) -> None:
-    """Refuse a ``width``-bit modulus whose decimal form ``str()`` cannot
-    write: n, or without it the widest such modulus 2**width - 1, has more
-    digits than ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+def _require_printable(width: int, n: int | None = None, what: str = "modulus") -> None:
+    """Refuse a ``width``-bit modulus (or other key number, named by
+    ``what``) whose decimal form ``str()`` cannot write: n, or without it
+    the widest such number 2**width - 1, has more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
     """
     limit = _max_str_digits()
     if not limit or width <= 3 * limit:  # then n < 8**limit < 10**limit
@@ -93,13 +94,22 @@ def _require_printable(width: int, n: int | None = None) -> None:
     # 10**limit is no power of two, so 2**width - 1 < 10**limit exactly
     # when width < ten.bit_length().
     if (n >= ten) if n is not None else (width >= ten.bit_length()):
-        raise KeyTooLarge(f"a {width}-bit modulus has more decimal digits than "
+        raise KeyTooLarge(f"a {width}-bit {what} has more decimal digits than "
                           f"the int-string limit of {limit}")
+
+
+def _decimal(x: int) -> str:
+    """x in decimal for an error message, or its width when ``str()``
+    cannot write it, so that the message itself never fails."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
 
 
 def _check_exponent(e: int, phi: int) -> None:
     if not 1 < e < phi:
-        raise InvalidPublicExponent(f"e must satisfy 1 < e < {phi}, got {e}")
+        raise InvalidPublicExponent(f"e must satisfy 1 < e < {phi}, got {_decimal(e)}")
     g = math.gcd(e, phi)
     if g != 1:
         raise InvalidPublicExponent(f"gcd(e, phi) = gcd({e}, {phi}) = {g} != 1")
@@ -235,11 +245,12 @@ _KIND_BY_HEADER = {header: kind for kind, header in _HEADER_BY_KIND.items()}
 def _format_key_file(kind: str, values: dict[str, object]) -> str:
     # The kind's header, then its table's fields in order; a pair whose
     # values hold its provenance adds the trio.
-    n = values["n"]
-    _require_printable(n.bit_length(), n)
     names = _FIELDS_BY_KIND[kind]
     if kind == "pair" and "p" in values:
         names += _PROVENANCE_FIELDS
+    for name in names:
+        x = abs(values[name])
+        _require_printable(x.bit_length(), x, "modulus" if name == "n" else name)
     lines = [_HEADER_BY_KIND[kind], *(f"{name}={values[name]}" for name in names)]
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,9 @@
+import marshal
 import math
+import os
 import random
 import re
+import threading
 from time import perf_counter
 
 import pytest
@@ -71,6 +74,18 @@ class TestBlockTransform:
         for sk in (small_keypair.private, PrivateKey(d=17, n=143)):
             with pytest.raises(ValueError):
                 decrypt_block(-1, sk)
+
+    def test_messages_write_a_huge_number_by_width(self):
+        huge = 10**4400 + 1  # 14617 bits: past str()'s default limit
+        with pytest.raises(BlockTooLarge,
+                           match="^block <14617-bit number> is not below the modulus 3233$"):
+            encrypt_block(huge, PublicKey(17, 3233))
+        with pytest.raises(BlockTooLarge, match="^block <14617-bit number> is not below "
+                                                "the modulus <14617-bit number>$"):
+            encrypt_block(huge + 1, PublicKey(3, huge))
+        with pytest.raises(ValueError, match="^block must be non-negative, "
+                                             "got <negative 14617-bit number>$"):
+            decrypt_block(-huge, PrivateKey(2753, 3233))
 
     def test_injective_on_full_range(self, small_keypair):
         images = {encrypt_block(m, small_keypair.public) for m in range(143)}
@@ -265,6 +280,157 @@ class TestOneTransformPerDistinctBlock:
         bs = block_seq((469428, n, -7), CODEC_TOY_ASCII, n)
         with pytest.raises(BlockTooLarge, match=f"^block {n} is not below"):
             decrypt_message(bs, toy_keypair.private)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A key and message above the fan-out line, with the per-block map of
+    the message: 256-bit primes (a 512-bit n), a drawn e of about 512 bits
+    and 64 KiB chunked, 1041 blocks."""
+    kp = generate_keypair(256, 2024, retain_provenance=True)
+    data = random.Random(5).randbytes(64 * 1024)
+    plain = codec.encode(data, kp.public.n, CODEC_CHUNKED)
+    encrypted = replace(plain, blocks=tuple(encrypt_block(m, kp.public) for m in plain.blocks))
+    return kp, data, encrypted
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+@pytest.fixture
+def forks(three_cpus, monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def no_fork(three_cpus, monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the work is split only where fork exists")
+class TestFanOut:
+    """Distinct blocks of enough work are split across forked processes."""
+
+    def test_predicate(self, wide, three_cpus):
+        kp = wide[0]
+        n = kp.public.n
+        assert cipher._slice_count(1041, kp.private) == 3  # 1041 * 512 * 512 = 272 M
+        assert cipher._slice_count(1041, kp.public) == 3
+        assert cipher._slice_count(261, kp.private) == 2  # 68 M
+        assert cipher._slice_count(1041, PublicKey(65537, n)) == 1  # e = 65537: 9 M
+        assert cipher._slice_count(127, kp.private) == 1  # 33 M, just below the line
+
+    @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
+    def test_same_as_the_per_block_map(self, wide, forks, crt):
+        kp, data, encrypted = wide
+        sk = kp.private if crt else PrivateKey(kp.private.d, kp.private.n)
+        if crt:
+            assert encrypt_message(data, kp.public, CODEC_CHUNKED) == encrypted
+        assert decrypt_message(encrypted, sk) == data
+        assert len(forks) == (4 if crt else 2)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
+    def test_first_bad_block_raises_before_any_fork(self, wide, no_fork, crt):
+        kp, _, encrypted = wide
+        sk = kp.private if crt else PrivateKey(kp.private.d, kp.private.n)
+        n = sk.n
+        blocks = list(encrypted.blocks)
+        blocks[700], blocks[800], blocks[900] = n + 5, -3, n
+        with pytest.raises(BlockTooLarge, match=f"^block {n + 5} is not below the modulus {n}$"):
+            decrypt_message(replace(encrypted, blocks=tuple(blocks)), sk)
+        blocks[700] = -7
+        with pytest.raises(ValueError, match="^block must be non-negative, got -7$"):
+            decrypt_message(replace(encrypted, blocks=tuple(blocks)), sk)
+
+    def test_inputs_below_the_line_never_fork(self, toy_keypair, no_fork):
+        bs = encrypt_message(b"Tue 7PM", toy_keypair.public, CODEC_TOY_ASCII)
+        assert codec.format_cipher_blocks(bs) == GOLDEN_CIPHERTEXT
+        assert decrypt_message(bs, toy_keypair.private) == b"Tue 7PM"
+        # the sizes of the command-line benchmark: 16-bit primes, 4 KiB of text
+        kp = generate_keypair(16, 77, retain_provenance=True)
+        data = random.Random(8).randbytes(4096)
+        bs = encrypt_message(data, kp.public, CODEC_CHUNKED)
+        assert decrypt_message(bs, kp.private) == data
+
+    def test_threaded_caller_never_forks(self, wide, no_fork):
+        kp, data, encrypted = wide
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cipher._slice_count(400, kp.private) == 1
+            assert cipher._map_distinct(decrypt_block, encrypted.blocks[:400], kp.private) \
+                == codec.encode(data, kp.public.n, CODEC_CHUNKED).blocks[:400]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert cipher._slice_count(400, kp.private) == 3
+
+    @pytest.mark.parametrize("send", [
+        lambda results, dumps: os._exit(1),
+        lambda results, dumps: dumps(results)[:-1],
+        lambda results, dumps: b"not marshal data",
+        lambda results, dumps: dumps(results[:-1]),
+    ], ids=["exits-nonzero", "short", "undecodable", "too-few"])
+    def test_failed_child_slice_is_recomputed(self, wide, forks, monkeypatch, send):
+        kp, data, encrypted = wide
+        dumps = marshal.dumps
+        monkeypatch.setattr(marshal, "dumps", lambda results: send(results, dumps))
+        assert decrypt_message(encrypted, kp.private) == data
+        assert len(forks) == 2
+        _assert_no_children()
+
+    def test_child_dying_in_its_transform(self, wide, forks, monkeypatch):
+        kp, data, encrypted = wide
+        parent, original = os.getpid(), cipher.decrypt_block
+
+        def dying(c, sk):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(c, sk)
+
+        monkeypatch.setattr(cipher, "decrypt_block", dying)
+        assert decrypt_message(encrypted, kp.private) == data
+        assert len(forks) == 2
+        _assert_no_children()
+
+    def test_error_in_the_parents_slice_reaps_every_child(self, wide, forks, monkeypatch):
+        kp, _, encrypted = wide
+        parent, original = os.getpid(), cipher.decrypt_block
+
+        def failing(c, sk):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent's slice failed")
+            return original(c, sk)
+
+        monkeypatch.setattr(cipher, "decrypt_block", failing)
+        with pytest.raises(RuntimeError, match="^the parent's slice failed$"):
+            decrypt_message(encrypted, kp.private)
+        assert len(forks) == 2
+        _assert_no_children()
 
 
 class TestCrackPrivateKey:

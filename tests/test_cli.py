@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -546,12 +547,13 @@ class TestNt:
 class TestSubprocess:
     """A few end-to-end runs through a real interpreter."""
 
-    def _run(self, args, stdin=b""):
+    def _run(self, args, stdin=b"", argv=("-m", "rsa_primer")):
         env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a pipe
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
-            [sys.executable, "-m", "rsa_primer", *args],
+            [sys.executable, *argv, *args],
             input=stdin, capture_output=True, env=env,
         )
 
@@ -571,6 +573,31 @@ class TestSubprocess:
         proc = self._run(["encrypt", "--key", str(pub)], stdin=b"Tue 7PM")
         assert proc.returncode == 0
         assert proc.stdout.decode().strip() == GOLDEN_CIPHERTEXT
+
+    def test_split_decryption_writes_stdout_once(self, tmp_path, cli):
+        # 64 KiB under a 512-bit key is enough work to fork a child per
+        # extra CPU; a child must leave without flushing the stdio buffers
+        # it inherited, or the plaintext would appear twice.
+        prefix = str(tmp_path / "k")
+        assert cli(["keygen", "--bits", "256", "--seed", "9", "--retain-pq",
+                    "--out", prefix]).code == 0
+        data = random.Random(9).randbytes(64 * 1024)  # 1041 distinct blocks
+        (tmp_path / "m").write_bytes(data)
+        res = cli(["encrypt", "--key", prefix + ".pub", "--codec", "chunked",
+                   "--in", str(tmp_path / "m")])
+        assert res.code == 0
+        args = ["decrypt", "--key", prefix + ".key", "--codec", "chunked"]
+        proc = self._run(args, stdin=res.out)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == data
+        # The same with text left unflushed in sys.stdout when the child forks.
+        code = ("import sys; from rsa_primer.cli import main; "
+                f"sys.stdout.buffer.write(b'before\\n'); sys.exit(main({args!r}))")
+        proc = self._run([], stdin=res.out, argv=["-c", code])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == b"before\n" + data
 
 
 # Key files shaped like the format, so that fuzzing gets past the header.

@@ -22,12 +22,14 @@ from rsa_primer.codec import (
 from rsa_primer.errors import (
     BlockOutOfRange,
     BlockTooLarge,
+    KeyTooLarge,
     MalformedBlock,
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
 
 TOY_N = 3099521
+HUGE = 10**4400 + 1  # 14617 bits: past str()'s default limit of 4300 digits
 
 
 class TestToyAscii:
@@ -196,6 +198,23 @@ class TestFormatting:
         # more significant digits than any key file's n can have
         with pytest.raises(BlockTooLarge):
             parse_cipher_blocks("1" * 4400, CODEC_TOY_ASCII, TOY_N)
+
+    def test_parse_refuses_modulus_past_int_string_limit(self):
+        # Checked first: a block past int()'s limit is past n only when n
+        # itself is within it (here "1" * 4400 is below n).
+        with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
+            parse_cipher_blocks("1" * 4400, CODEC_TOY_ASCII, HUGE)
+
+    def test_block_messages_write_a_huge_block_by_width(self):
+        with pytest.raises(BlockOutOfRange,
+                           match="^block <14617-bit number> is not an ASCII code$"):
+            decode_toy_ascii(BlockSeq((HUGE,), CODEC_TOY_ASCII, 7))
+        with pytest.raises(MalformedBlock,
+                           match="^block <14617-bit number> exceeds the 2-byte chunk frame$"):
+            decode_chunked(BlockSeq((HUGE, 1), CODEC_CHUNKED, 5, 2))
+        with pytest.raises(MalformedBlock,
+                           match="^final block <14617-bit number> has inconsistent framing$"):
+            decode_chunked(BlockSeq((HUGE,), CODEC_CHUNKED, 5, 2))
 
     def test_pad_width_follows_modulus_digits(self):
         assert decimal_digits(143) == 3

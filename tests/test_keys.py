@@ -402,3 +402,26 @@ class TestModulusDigitLimit:
     def test_writers_refuse(self, write, key):
         with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
             write(key)
+
+    # An exponent past the limit under a small n: the writers refuse it by
+    # name, and the message that writes e gives its width instead.
+    @pytest.mark.parametrize("write, key, name", [
+        (format_public_key, PublicKey(HUGE_N, 3233), "e"),
+        (format_private_key, PrivateKey(HUGE_N, 3233), "d"),
+        (format_keypair, KeyPair(PublicKey(17, 3233), PrivateKey(HUGE_N, 3233)), "d"),
+    ], ids=["public", "private", "pair"])
+    def test_writers_refuse_exponent(self, write, key, name):
+        with pytest.raises(KeyTooLarge, match=f"^a 14617-bit {name} has more "):
+            write(key)
+
+    def test_exponent_message_writes_its_width(self):
+        with pytest.raises(InvalidPublicExponent,
+                           match="^e must satisfy 1 < e < 3120, got <14617-bit number>$"):
+            keypair_from_primes(61, 53, HUGE_N)
+
+    def test_decimal_helper(self, low_digit_limit):
+        assert keys._decimal(3233) == "3233"
+        assert keys._decimal(-7) == "-7"
+        assert keys._decimal(10**640 - 1) == "9" * 640
+        assert keys._decimal(10**640) == "<2127-bit number>"
+        assert keys._decimal(-(10**640)) == "<negative 2127-bit number>"
