@@ -8,13 +8,10 @@ block value in [0, n), including multiples of p and q, even though the
 usual Euler-theorem derivation only covers gcd(M, n) = 1; the test suite
 exercises those residues deliberately.  A message is transformed once per
 distinct block value.  When those values times the bit lengths of n and
-the exponent come to at least twice 2^25 (a 64 KiB message decrypted
-under a 512-bit key, not one encrypted at e = 65537), they are split into
-contiguous slices, one per 2^25 of that work and at most one per CPU
-the process may run on: the caller transforms the first, and a child
-forked for each other slice sends its results back over a pipe.  That
-needs ``os.fork`` (POSIX) and is skipped while the caller runs other
-threads; the output bytes are the same either way.
+the exponent come to at least twice 2^20 (a 64 KiB message under a
+512-bit key, but no command-line benchmark input), they are split into
+contiguous slices across forked workers by ``number_theory._split_map``;
+the output bytes are the same either way.
 
 The attack half recovers a private key from a public one by factoring n,
 either by trial division (didactic, obviously correct: the primes below
@@ -30,10 +27,7 @@ the wheel; the table phase before it is bounded and runs uninterrupted.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import threading
 from bisect import bisect_right
 from collections.abc import Sequence
 from time import perf_counter
@@ -43,7 +37,7 @@ from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, _decimal, _require_printable, generate_keypair
-from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
+from .number_theory import Rng64, _sieve, _split_map, is_probable_prime, mod_inverse
 
 __all__ = [
     "TRIAL_DIVISION",
@@ -106,97 +100,23 @@ def decrypt_block(c: int, sk: PrivateKey) -> int:
     return m_q + q * ((m_p - m_q) * q_inv % p)
 
 
-# A transform of at least this much predicted work (distinct blocks times
-# the bit lengths of n and the exponent) goes to one more process.  On a
-# shared 2-vCPU x86 VM under CPython 3.11 that much is 58 ms of serial
-# pow for a 512-bit key with CRT and 146 ms without, against 3-7 ms to
-# fork a child, pipe its results back and reap it.
-_FAN_OUT_WORK = 2**25
+def _transform_all(values: list[int], fields: tuple, private: bool) -> list[int]:
+    # A slice of _map_distinct, under the key with these (marshal-able) fields.
+    key = (PrivateKey if private else PublicKey)(*fields)
+    transform = decrypt_block if private else encrypt_block
+    return [transform(b, key) for b in values]
 
 
-def _slice_count(count: int, key: PublicKey | PrivateKey) -> int:
-    # How many processes share the transform of count distinct blocks: one
-    # per _FAN_OUT_WORK of work, at most one per CPU; one where fork is
-    # missing or would copy a process with other threads running (Python
-    # 3.12 warns on that).
-    exponent = key.e if isinstance(key, PublicKey) else key.d
-    wanted = count * key.n.bit_length() * exponent.bit_length() // _FAN_OUT_WORK
-    if wanted <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, wanted)
-
-
-def _run_child(transform, part: list[int], key, pipe: int) -> None:
-    # In a forked child: send the slice's results up the pipe and leave by
-    # os._exit, which flushes none of the stdio buffers the child inherited
-    # (the parent writes those) and runs no exit handler.
-    status = 1
-    try:
-        with open(pipe, "wb") as out:
-            out.write(marshal.dumps([transform(b, key) for b in part]))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fan_out(transform, values: list[int], key, slices: int) -> list[int]:
-    # The parent keeps the first contiguous slice and forks a child for each
-    # other one.  A child that exits nonzero or sends a short or undecodable
-    # payload has its slice recomputed here, so the result never depends on
-    # a child; every child is reaped, and killed first if this raises.
-    size = -(-len(values) // slices)
-    parts = [values[i : i + size] for i in range(0, len(values), size)]
-    children = []  # (pid, read end of its pipe, its slice), in slice order
-    reaped = 0
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(transform, part, key, write)
-            children.append((pid, read, part))
-            os.close(write)
-        results = [transform(b, key) for b in parts[0]]
-        for pid, read, part in children:
-            with open(read, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped += 1
-            try:
-                done = marshal.loads(payload) if status == 0 else None
-            except (EOFError, ValueError, TypeError):
-                done = None
-            if type(done) is not list or len(done) != len(part):
-                done = [transform(b, key) for b in part]
-            results += done
-        return results
-    finally:
-        if reaped < len(children):
-            from signal import SIGKILL  # not imported on the path that succeeds
-
-            for pid, _, _ in children[reaped:]:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-        for _, read, _ in children:
-            os.close(read)
-
-
-def _map_distinct(transform, blocks: tuple[int, ...], key) -> tuple[int, ...]:
-    # One transform per distinct value, in order of first occurrence, so the
-    # first bad block still raises first: with the work split, every block
-    # is checked in that order before any process is forked.
-    values = dict.fromkeys(blocks)
-    slices = _slice_count(len(values), key)
-    if slices == 1:
-        table = {b: transform(b, key) for b in values}
-    else:
-        for b in values:
-            _check_block(b, key.n)
-        table = dict(zip(values, _fan_out(transform, list(values), key, slices)))
+def _map_distinct(blocks: tuple[int, ...], key: PublicKey | PrivateKey) -> tuple[int, ...]:
+    # One transform per distinct value, each checked in order of first
+    # occurrence before any goes to a worker, so the first bad block raises.
+    values = list(dict.fromkeys(blocks))
+    for b in values:
+        _check_block(b, key.n)
+    private = isinstance(key, PrivateKey)
+    work = len(values) * key.n.bit_length() * (key.d if private else key.e).bit_length()
+    done = _split_map(_transform_all, values, (tuple(vars(key).values()), private), work)
+    table = dict(zip(values, done))
     return tuple(map(table.__getitem__, blocks))
 
 
@@ -209,7 +129,7 @@ def encrypt_message(data: bytes, pk: PublicKey, codec_id: str) -> BlockSeq:
     function compute ``encrypt_block`` once per distinct block value.
     """
     plain = codec.encode(data, pk.n, codec_id)
-    return replace(plain, blocks=_map_distinct(encrypt_block, plain.blocks, pk))
+    return replace(plain, blocks=_map_distinct(plain.blocks, pk))
 
 
 def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -> bytes:
@@ -222,7 +142,7 @@ def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -
     """
     if codec_id is not None and codec_id != bs.codec_id:
         raise ValueError(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
-    return codec.decode(replace(bs, blocks=_map_distinct(decrypt_block, bs.blocks, sk)))
+    return codec.decode(replace(bs, blocks=_map_distinct(bs.blocks, sk)))
 
 
 # --- key recovery ------------------------------------------------------------

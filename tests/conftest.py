@@ -1,9 +1,12 @@
 import io
+import os
 import sys
+import time
 from dataclasses import dataclass
 
 import pytest
 
+from rsa_primer import _pool
 from rsa_primer.cli import main as cli_main
 from rsa_primer.keys import keypair_from_primes
 
@@ -65,3 +68,56 @@ def toy_keypair():
 def small_keypair():
     """The two-digit-prime key: (113, 143) public, (17, 143) private."""
     return keypair_from_primes(11, 13, 113, retain_provenance=True)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pooled worker when the test starts, so that its patches reach the
+    workers it forks, and none left when it ends."""
+    _pool.stop()
+    yield
+    _pool.stop()
+
+
+@pytest.fixture
+def three_cpus(fresh_pool, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+@pytest.fixture
+def forks(three_cpus, monkeypatch):
+    """The pids of the processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_children(forks=()):
+    """Every forked process outside the pool has been reaped, and stopping
+    the pool reaps the rest."""
+    pooled = {pid for pid, _, _ in _pool._workers}
+    for pid in set(forks) - pooled:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    _pool.stop()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_status(pid, timeout=30.0):
+    """The wait status of child pid, which must end within timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    pytest.fail(f"process {pid} still running after {timeout} s")

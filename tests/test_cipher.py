@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import signal
 import threading
 from time import perf_counter
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsa_primer import cipher, codec
+from conftest import assert_no_children, wait_status
+from rsa_primer import _pool, cipher, codec, number_theory
 from rsa_primer._record import replace
 from rsa_primer.cipher import (
     METHODS,
@@ -282,11 +284,6 @@ class TestOneTransformPerDistinctBlock:
             decrypt_message(bs, toy_keypair.private)
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture(scope="module")
 def wide():
     """A key and message above the fan-out line, with the per-block map of
@@ -300,27 +297,6 @@ def wide():
 
 
 @pytest.fixture
-def three_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-
-
-@pytest.fixture
-def forks(three_cpus, monkeypatch):
-    """The pids of the children forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-@pytest.fixture
 def no_fork(three_cpus, monkeypatch):
     def fork():
         raise AssertionError("os.fork was called")
@@ -330,26 +306,46 @@ def no_fork(three_cpus, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the work is split only where fork exists")
 class TestFanOut:
-    """Distinct blocks of enough work are split across forked processes."""
+    """Distinct blocks of enough work are split across the pooled workers."""
 
-    def test_predicate(self, wide, three_cpus):
-        kp = wide[0]
-        n = kp.public.n
-        assert cipher._slice_count(1041, kp.private) == 3  # 1041 * 512 * 512 = 272 M
-        assert cipher._slice_count(1041, kp.public) == 3
-        assert cipher._slice_count(261, kp.private) == 2  # 68 M
-        assert cipher._slice_count(1041, PublicKey(65537, n)) == 1  # e = 65537: 9 M
-        assert cipher._slice_count(127, kp.private) == 1  # 33 M, just below the line
+    def test_predicate(self, three_cpus):
+        slices = number_theory._slices
+        assert number_theory._FAN_OUT_WORK == 2**20
+        assert slices(1041 * 512 * 511) == 3  # bulk decryption: 272 M
+        assert slices(1041 * 512 * 17) == 3  # bulk encryption at e = 65537: 9 M
+        assert slices(9 * 512 * 511) == 2  # 2.35 M
+        assert slices(8 * 512 * 511) == 1  # 2.09 M, just below the line
+        assert slices(63 * 256 * 255) == 3  # 63 Miller-Rabin rounds at 256 bits: 4.1 M
+        # the command-line benchmark's sizes stay serial: 16-bit primes, 4 KiB
+        kp = generate_keypair(16, 77, retain_provenance=True)
+        count = len(set(codec.encode(random.Random(8).randbytes(4096), kp.public.n,
+                                     CODEC_CHUNKED).blocks))
+        assert (count, kp.public.n.bit_length(), kp.private.d.bit_length()) == (1366, 31, 31)
+        assert slices(count * 31 * 31) == 1  # 1.3 M
+        assert slices(count * 32 * 32) == 1  # the widest such key: 1.4 M
+
+    def test_work_counts_the_exponent_of_the_key(self, wide, forks):
+        kp, data, encrypted = wide
+        blocks = encrypted.blocks[:9]
+        assert len(set(blocks)) == 9
+        plain = codec.encode(data, kp.public.n, CODEC_CHUNKED).blocks[:9]
+        small_e = PublicKey(65537, kp.public.n)
+        assert cipher._map_distinct(plain, small_e) == tuple(pow(m, 65537, small_e.n) for m in plain)
+        assert forks == []  # 9 * 512 * 17
+        assert cipher._map_distinct(blocks, kp.private) == plain
+        assert len(forks) == 1  # 9 * 512 * 511: two slices
+        assert_no_children(forks)
 
     @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
     def test_same_as_the_per_block_map(self, wide, forks, crt):
         kp, data, encrypted = wide
         sk = kp.private if crt else PrivateKey(kp.private.d, kp.private.n)
-        if crt:
-            assert encrypt_message(data, kp.public, CODEC_CHUNKED) == encrypted
+        assert encrypt_message(data, kp.public, CODEC_CHUNKED) == encrypted
         assert decrypt_message(encrypted, sk) == data
-        assert len(forks) == (4 if crt else 2)
-        _assert_no_children()
+        # two workers, forked at the first split and reused by the second
+        assert len(forks) == 2
+        assert [pid for pid, _, _ in _pool._workers] == forks
+        assert_no_children(forks)
 
     @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
     def test_first_bad_block_raises_before_any_fork(self, wide, no_fork, crt):
@@ -380,28 +376,35 @@ class TestFanOut:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert cipher._slice_count(400, kp.private) == 1
-            assert cipher._map_distinct(decrypt_block, encrypted.blocks[:400], kp.private) \
+            assert number_theory._slices(400 * 512 * 511) == 1
+            assert cipher._map_distinct(encrypted.blocks[:400], kp.private) \
                 == codec.encode(data, kp.public.n, CODEC_CHUNKED).blocks[:400]
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert cipher._slice_count(400, kp.private) == 3
+        assert number_theory._slices(400 * 512 * 511) == 3
 
     @pytest.mark.parametrize("send", [
-        lambda results, dumps: os._exit(1),
-        lambda results, dumps: dumps(results)[:-1],
-        lambda results, dumps: b"not marshal data",
-        lambda results, dumps: dumps(results[:-1]),
+        lambda results, file: os._exit(1),
+        lambda results, file: (file.write(marshal.dumps(results)[:-1]), file.flush(), os._exit(0)),
+        lambda results, file: file.write(b"not marshal data"),
+        lambda results, file: file.write(marshal.dumps(results[:-1])),
     ], ids=["exits-nonzero", "short", "undecodable", "too-few"])
     def test_failed_child_slice_is_recomputed(self, wide, forks, monkeypatch, send):
         kp, data, encrypted = wide
-        dumps = marshal.dumps
-        monkeypatch.setattr(marshal, "dumps", lambda results: send(results, dumps))
+        parent, dump = os.getpid(), marshal.dump
+
+        def sending(value, file):
+            if os.getpid() == parent:
+                return dump(value, file)
+            return send(value, file)
+
+        monkeypatch.setattr(marshal, "dump", sending)
         assert decrypt_message(encrypted, kp.private) == data
         assert len(forks) == 2
-        _assert_no_children()
+        assert _pool._workers == []  # each failed worker was dropped
+        assert_no_children(forks)
 
     def test_child_dying_in_its_transform(self, wide, forks, monkeypatch):
         kp, data, encrypted = wide
@@ -415,7 +418,8 @@ class TestFanOut:
         monkeypatch.setattr(cipher, "decrypt_block", dying)
         assert decrypt_message(encrypted, kp.private) == data
         assert len(forks) == 2
-        _assert_no_children()
+        assert _pool._workers == []
+        assert_no_children(forks)
 
     def test_error_in_the_parents_slice_reaps_every_child(self, wide, forks, monkeypatch):
         kp, _, encrypted = wide
@@ -430,7 +434,41 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="^the parent's slice failed$"):
             decrypt_message(encrypted, kp.private)
         assert len(forks) == 2
-        _assert_no_children()
+        assert _pool._workers == []
+        assert_no_children(forks)
+
+    def test_killed_worker_is_recomputed_then_replaced(self, wide, forks):
+        kp, data, encrypted = wide
+        assert decrypt_message(encrypted, kp.private) == data
+        killed, survivor = [pid for pid, _, _ in _pool._workers]
+        os.kill(killed, signal.SIGKILL)
+        assert decrypt_message(encrypted, kp.private) == data
+        assert [pid for pid, _, _ in _pool._workers] == [survivor]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(killed, os.WNOHANG)  # reaped
+        assert decrypt_message(encrypted, kp.private) == data
+        assert len(forks) == 3
+        assert [pid for pid, _, _ in _pool._workers] == [survivor, forks[2]]
+        assert_no_children(forks)
+
+    @pytest.mark.parametrize("how", ["eof", "interrupt"])
+    def test_worker_leaves_by_exit_0(self, wide, forks, how):
+        # on EOF, and on KeyboardInterrupt (SIGINT), without dying of the signal
+        kp, data, encrypted = wide
+        assert decrypt_message(encrypted, kp.private) == data
+        worker = _pool._workers[0]
+        if how == "eof":
+            _pool._workers.remove(worker)
+            worker[1].close()
+            worker[2].close()
+        else:
+            os.kill(worker[0], signal.SIGINT)
+        assert wait_status(worker[0]) == 0
+        assert decrypt_message(encrypted, kp.private) == data
+        assert decrypt_message(encrypted, kp.private) == data
+        assert len(forks) == 3  # one replacement
+        assert len(_pool._workers) == 2
+        assert_no_children(forks)
 
 
 class TestCrackPrivateKey:

@@ -554,7 +554,7 @@ class TestSubprocess:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
             [sys.executable, *argv, *args],
-            input=stdin, capture_output=True, env=env,
+            input=stdin, capture_output=True, env=env, timeout=120,
         )
 
     def test_demo_matches_in_process(self, cli):
@@ -574,9 +574,32 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.decode().strip() == GOLDEN_CIPHERTEXT
 
+    def test_keygen_with_workers_returns(self, tmp_path, cli):
+        # 256-bit primes split their Miller-Rabin rounds across pooled
+        # workers (three CPUs faked under -c).  The capture reads stdout to
+        # EOF, so a worker still holding it after its parent exited would
+        # hang the run; the exit handler has reaped every worker by then.
+        args = ["keygen", "--bits", "256", "--seed", "9", "--retain-pq",
+                "--out", str(tmp_path / "k")]
+        expected = cli(args).out
+        proc = self._run(args)
+        assert (proc.returncode, proc.stdout) == (0, expected)
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+                "from rsa_primer import _pool; from rsa_primer.cli import main; "
+                f"code = main({args!r}); "
+                "print(*(pid for pid, _, _ in _pool._workers), file=sys.stderr); "
+                "sys.exit(code)")
+        proc = self._run([], argv=["-c", code])
+        assert (proc.returncode, proc.stdout) == (0, expected)
+        workers = [int(pid) for pid in proc.stderr.split(b"\n")[-2].split()]
+        assert len(workers) == 2
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_split_decryption_writes_stdout_once(self, tmp_path, cli):
-        # 64 KiB under a 512-bit key is enough work to fork a child per
-        # extra CPU; a child must leave without flushing the stdio buffers
+        # 64 KiB under a 512-bit key is enough work to split across pooled
+        # workers; a worker must leave without flushing the stdio buffers
         # it inherited, or the plaintext would appear twice.
         prefix = str(tmp_path / "k")
         assert cli(["keygen", "--bits", "256", "--seed", "9", "--retain-pq",
@@ -591,7 +614,7 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stderr == b""
         assert proc.stdout == data
-        # The same with text left unflushed in sys.stdout when the child forks.
+        # The same with text left unflushed in sys.stdout when a worker forks.
         code = ("import sys; from rsa_primer.cli import main; "
                 f"sys.stdout.buffer.write(b'before\\n'); sys.exit(main({args!r}))")
         proc = self._run([], stdin=res.out, argv=["-c", code])

@@ -1,11 +1,13 @@
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsa_primer import number_theory
+from conftest import assert_no_children, wait_status
+from rsa_primer import _pool, number_theory
 from rsa_primer.errors import (
     BitsTooSmall,
     BothZero,
@@ -492,3 +494,116 @@ class TestGenPrime:
         first = gen_prime(16, rng)
         second = gen_prime(16, rng)
         assert first != second
+
+
+def _serial_random_tier(n, rng):
+    # The random tier as one loop, one draw per round, stopping at the first
+    # witness that proves n composite: the reference the split must equal.
+    # Returns the verdict and the number of rounds run.
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    span = n - 3
+    for rounds in range(1, 65):
+        a = 2 + number_theory._draw_bits(span.bit_length() + 64, rng) % span
+        if number_theory._miller_rabin_witness(a, d, r, n):
+            return False, rounds
+    return True, 64
+
+
+def _serial_gen_prime(bits, rng):
+    # gen_prime over the reference loop; every candidate of 256 bits that
+    # passes the small-prime screen reaches the random tier.
+    low = 1 << (bits - 1)
+    candidate = number_theory._draw_bits(bits, rng) | low | 1
+    while not (math.gcd(candidate, number_theory._SMALL_PRODUCT) == 1
+               and _serial_random_tier(candidate, rng)[0]):
+        candidate += 2
+    return candidate
+
+
+# (2k + 1)(4k + 1) with both factors prime: about a quarter of all witnesses
+# are strong liars for it, the most any odd composite allows.
+_LIAR_K = (1 << 126) + 5381
+_LIAR_N = (2 * _LIAR_K + 1) * (4 * _LIAR_K + 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rounds are split only where fork exists")
+class TestSplitRounds:
+    """The random tier split across the pool equals the serial loop: the
+    verdict, the prime and the stream's state afterwards."""
+
+    @pytest.fixture(params=["pooled", "serial"])
+    def mode(self, request, forks, monkeypatch):
+        if request.param == "serial":
+            def fork():
+                forks.append(None)
+                raise OSError("no process to spare")
+
+            monkeypatch.setattr(os, "fork", fork)
+        yield request.param
+        assert forks, "no split was tried"  # the pool was asked for workers
+        assert (None in forks) == (request.param == "serial")
+        assert_no_children([pid for pid in forks if pid])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 901])
+    def test_gen_prime(self, mode, seed):
+        rng, reference = Rng64(seed), Rng64(seed)
+        assert gen_prime(256, rng) == _serial_gen_prime(256, reference)
+        assert rng.state == reference.state
+
+    def test_composite_past_a_strong_liar(self, mode):
+        p, q = 2 * _LIAR_K + 1, 4 * _LIAR_K + 1
+        assert is_probable_prime(p) and is_probable_prime(q)
+        assert _LIAR_N.bit_length() == 256
+        # the first seed whose first witness lies; a later one does not
+        seed = next(s for s in range(1, 1000)
+                    if _serial_random_tier(_LIAR_N, Rng64(s))[1] > 1)
+        reference = Rng64(seed)
+        assert _serial_random_tier(_LIAR_N, reference)[0] is False
+        rng = Rng64(seed)
+        assert not is_probable_prime(_LIAR_N, rng)
+        assert rng.state == reference.state
+
+    def test_split_verdicts_keep_their_order(self, mode):
+        d, r = (_LIAR_N - 1) // 2, 1
+        rng = Rng64(7)
+        witnesses = tuple(2 + number_theory._draw_bits(320, rng) % (_LIAR_N - 3)
+                          for _ in range(63))
+        verdicts = number_theory._witnesses_all(witnesses, d, r, _LIAR_N)
+        assert 0 < verdicts.count(False) < 63  # liars and witnesses both
+        work = 63 * 256 * 255  # three slices
+        assert number_theory._split_map(number_theory._witnesses_all, witnesses,
+                                        (d, r, _LIAR_N), work) == verdicts
+
+
+def _is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+def test_forked_child_starts_with_an_empty_pool(forks):
+    expected = gen_prime(256, Rng64(11))
+    fds = [f.fileno() for _, jobs, results in _pool._workers for f in (jobs, results)]
+    assert len(fds) == 4
+    pid = os.fork()
+    if pid == 0:  # the child reports by its exit status alone
+        status = 1
+        try:
+            # The parent's pipe ends are closed here, or its workers would
+            # not see EOF once the parent let go of them.
+            if not _pool._workers and not any(map(_is_open, fds)):
+                status = 2
+                if gen_prime(256, Rng64(11)) == expected and len(_pool._workers) == 2:
+                    status = 0
+            _pool.stop()
+        finally:
+            os._exit(status)
+    assert gen_prime(256, Rng64(11)) == expected
+    assert wait_status(pid) == 0
+    assert len(forks) == 3  # two workers and the child
+    assert_no_children(forks)
