@@ -10,7 +10,7 @@ exercises those residues deliberately.  A message is transformed once per
 distinct block value.  When those values times the bit lengths of n and
 the exponent come to at least twice 2^20 (a 64 KiB message under a
 512-bit key, but no command-line benchmark input), they are split into
-contiguous slices across forked workers by ``number_theory._split_map``;
+contiguous slices across forked workers by ``_pool.split_map``;
 the output bytes are the same either way.
 
 The attack half recovers a private key from a public one by factoring n,
@@ -33,11 +33,12 @@ from collections.abc import Sequence
 from time import perf_counter
 
 from . import codec
+from ._pool import split_map
 from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, _decimal, _require_printable, generate_keypair
-from .number_theory import Rng64, _sieve, _split_map, is_probable_prime, mod_inverse
+from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
 
 __all__ = [
     "TRIAL_DIVISION",
@@ -115,7 +116,7 @@ def _map_distinct(blocks: tuple[int, ...], key: PublicKey | PrivateKey) -> tuple
         _check_block(b, key.n)
     private = isinstance(key, PrivateKey)
     work = len(values) * key.n.bit_length() * (key.d if private else key.e).bit_length()
-    done = _split_map(_transform_all, values, (tuple(vars(key).values()), private), work)
+    done = split_map(_transform_all, values, (tuple(vars(key).values()), private), work)
     table = dict(zip(values, done))
     return tuple(map(table.__getitem__, blocks))
 

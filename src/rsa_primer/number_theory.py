@@ -14,12 +14,11 @@ callers, so identical seeds reproduce identical keys on every platform.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, compress
 
+from ._pool import split_map
 from .errors import (
     BitsTooSmall,
     BothZero,
@@ -333,7 +332,7 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
         return False
     witnesses, states = zip(*draws)  # the other rounds, split across the pool
     work = len(witnesses) * n.bit_length() * d.bit_length()
-    verdicts = _split_map(_witnesses_all, witnesses, (d, r, n), work)
+    verdicts = split_map(_witnesses_all, witnesses, (d, r, n), work)
     if True in verdicts:
         rng.state = states[verdicts.index(True)]
     return True not in verdicts
@@ -364,30 +363,3 @@ def gen_prime(bits: int, rng: Rng64) -> int:
         if candidate > high:
             candidate = low + 1
 
-
-# --- splitting work across processes ----------------------------------------
-
-# Work (values times the bit lengths of the modulus and the exponent) of at
-# least twice this much is split.  On a shared 2-vCPU x86 VM under CPython
-# 3.11 that is 16 Miller-Rabin rounds at 256 bits (3.2 ms) or 1.8 ms of CRT
-# pow at 512 bits, against a 0.05 ms worker round trip and a 1 ms fork once.
-_FAN_OUT_WORK = 2**20
-
-
-def _slices(work: int) -> int:
-    # One process per _FAN_OUT_WORK, at most one per CPU the process may use;
-    # one without fork, or while other threads run (3.12 warns on that fork).
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, work // _FAN_OUT_WORK))
-
-
-def _split_map(fn, values, args: tuple, work: int) -> list:
-    # fn(part, *args) over _slices(work) contiguous parts of values, joined.
-    slices = _slices(work)
-    if slices == 1:
-        return fn(values, *args)
-    from . import _pool  # compiled only by a process that splits
-
-    return _pool.split_map(fn, values, args, slices)

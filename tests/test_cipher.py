@@ -5,14 +5,14 @@ import random
 import re
 import signal
 import threading
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_children, wait_status
-from rsa_primer import _pool, cipher, codec, number_theory
+from rsa_primer import _pool, cipher, codec
 from rsa_primer._record import replace
 from rsa_primer.cipher import (
     METHODS,
@@ -309,8 +309,8 @@ class TestFanOut:
     """Distinct blocks of enough work are split across the pooled workers."""
 
     def test_predicate(self, three_cpus):
-        slices = number_theory._slices
-        assert number_theory._FAN_OUT_WORK == 2**20
+        slices = _pool._slices
+        assert _pool._FAN_OUT_WORK == 2**20
         assert slices(1041 * 512 * 511) == 3  # bulk decryption: 272 M
         assert slices(1041 * 512 * 17) == 3  # bulk encryption at e = 65537: 9 M
         assert slices(9 * 512 * 511) == 2  # 2.35 M
@@ -376,14 +376,14 @@ class TestFanOut:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert number_theory._slices(400 * 512 * 511) == 1
+            assert _pool._slices(400 * 512 * 511) == 1
             assert cipher._map_distinct(encrypted.blocks[:400], kp.private) \
                 == codec.encode(data, kp.public.n, CODEC_CHUNKED).blocks[:400]
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert number_theory._slices(400 * 512 * 511) == 3
+        assert _pool._slices(400 * 512 * 511) == 3
 
     @pytest.mark.parametrize("send", [
         lambda results, file: os._exit(1),
@@ -433,6 +433,27 @@ class TestFanOut:
         monkeypatch.setattr(cipher, "decrypt_block", failing)
         with pytest.raises(RuntimeError, match="^the parent's slice failed$"):
             decrypt_message(encrypted, kp.private)
+        assert len(forks) == 2
+        assert _pool._workers == []
+        assert_no_children(forks)
+
+    def test_error_in_the_parents_slice_kills_busy_workers(self, wide, forks, monkeypatch):
+        # Each worker would spend 30 s on its slice, then die: the caller's
+        # error must not wait for that.
+        kp, _, encrypted = wide
+        parent = os.getpid()
+
+        def failing(c, sk):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent's slice failed")
+            sleep(30)
+            os._exit(1)
+
+        monkeypatch.setattr(cipher, "decrypt_block", failing)
+        start = perf_counter()
+        with pytest.raises(RuntimeError, match="^the parent's slice failed$"):
+            decrypt_message(encrypted, kp.private)
+        assert perf_counter() - start < 5
         assert len(forks) == 2
         assert _pool._workers == []
         assert_no_children(forks)

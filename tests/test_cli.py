@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -596,6 +597,27 @@ class TestSubprocess:
         for pid in workers:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.parametrize("missing", [("fork", "register_at_fork"), ("sched_getaffinity",)],
+                             ids=["no-fork", "no-affinity"])
+    def test_keygen_where_os_lacks(self, tmp_path, missing):
+        # Every process imports the pool.  Without fork the rounds run in the
+        # caller alone; without sched_getaffinity os.cpu_count() bounds the
+        # slices.  Either way the key file is the one CI pins.
+        args = ["keygen", "--bits", "256", "--seed", "7", "--retain-pq",
+                "--out", str(tmp_path / "big")]
+        code = ("import os, sys\n"
+                f"for name in {missing!r}: delattr(os, name)\n"
+                "from rsa_primer import _pool; from rsa_primer.cli import main\n"
+                f"code = main({args!r})\n"
+                "print(_pool._slices(2**40), len(_pool._workers), file=sys.stderr)\n"
+                "sys.exit(code)")
+        proc = self._run([], argv=["-c", code])
+        assert proc.returncode == 0
+        assert hashlib.sha256((tmp_path / "big.key").read_bytes()).hexdigest() \
+            == "526bf2679570838dc88a00e46bd6300c12a7265d8d18f67d4d0f7453610e00ff"
+        cpus = 1 if "fork" in missing else os.cpu_count() or 1
+        assert proc.stderr.split(b"\n")[-2].split() == [b"%d" % cpus, b"%d" % (min(cpus, 3) - 1)]
 
     def test_split_decryption_writes_stdout_once(self, tmp_path, cli):
         # 64 KiB under a 512-bit key is enough work to split across pooled

@@ -573,8 +573,8 @@ class TestSplitRounds:
         verdicts = number_theory._witnesses_all(witnesses, d, r, _LIAR_N)
         assert 0 < verdicts.count(False) < 63  # liars and witnesses both
         work = 63 * 256 * 255  # three slices
-        assert number_theory._split_map(number_theory._witnesses_all, witnesses,
-                                        (d, r, _LIAR_N), work) == verdicts
+        assert _pool.split_map(number_theory._witnesses_all, witnesses,
+                               (d, r, _LIAR_N), work) == verdicts
 
 
 def _is_open(fd):
