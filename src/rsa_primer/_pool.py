@@ -28,12 +28,13 @@ def _slices(work: int) -> int:
 
 
 def split_map(fn, values, args: tuple, work: int) -> list:
-    # fn(part, *args) over _slices(work) contiguous parts of values, joined:
-    # the caller runs the first, a worker each other one, finding fn by module
-    # and name (args go by marshal).  A failed worker's part is redone here;
-    # if this raises, every worker is killed and stopped.
+    # fn(part, *args) over _slices(work) contiguous parts of values, at most
+    # one per value, joined: the caller runs the first, a worker each other
+    # one, finding fn by module and name (args go by marshal).  A failed
+    # worker's part is redone here; if this raises, every worker is killed
+    # and stopped.
     try:
-        slices = _slices(work)
+        slices = min(_slices(work), max(1, len(values)))
         with suppress(OSError):  # no process to spare: fewer parts
             while len(_workers) < slices - 1:
                 _workers.append(_start_worker())

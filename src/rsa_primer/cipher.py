@@ -36,7 +36,7 @@ from . import codec
 from ._pool import split_map
 from ._record import Record, replace
 from .codec import BlockSeq
-from .errors import BlockTooLarge, CrackTimeout, NoFactor, NotSemiprime
+from .errors import BlockTooLarge, CrackTimeout, InvalidArgument, NoFactor, NotSemiprime
 from .keys import PrivateKey, PublicKey, _decimal, _require_printable, generate_keypair
 from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
 
@@ -307,6 +307,11 @@ _FACTOR_METHODS = {
 METHODS = tuple(_FACTOR_METHODS)
 
 
+def _require_budget(timeout: float | None) -> None:
+    if timeout is not None and not 0 < timeout < math.inf:  # nan fails both
+        raise InvalidArgument("timeout must be positive and finite")
+
+
 def crack_private_key(
     pk: PublicKey, method: str = TRIAL_DIVISION, timeout: float | None = None
 ) -> CrackReport:
@@ -316,13 +321,15 @@ def crack_private_key(
     inverse of e modulo phi(n), which is exactly why factoring must be hard
     for RSA to stand.  Raises :class:`CrackTimeout`, its message led by
     the seconds spent, when ``timeout`` seconds pass without a factor,
-    :class:`KeyTooLarge` when no key file could hold n,
+    :class:`InvalidArgument` for a ``timeout`` neither ``None`` nor
+    positive and finite, :class:`KeyTooLarge` when no key file could hold n,
     :class:`NotSemiprime` when n is not a product of two distinct primes,
     :class:`NotCoprime` when e has no inverse modulo phi(n), and
     ``ValueError`` for a method not in :data:`METHODS`.
     """
     if method not in _FACTOR_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    _require_budget(timeout)
     n = pk.n
     _require_printable(n.bit_length(), n)  # the messages below write n
     start = perf_counter()
@@ -357,8 +364,13 @@ def crack_benchmark(
     so the keys (though not the timings) are reproducible.  A trial that
     exceeds ``timeout`` is recorded with ``solved=False`` instead of
     aborting the run.  Trials run sequentially; interleaving them would
-    contaminate the wall-clock numbers.
+    contaminate the wall-clock numbers.  ``trials`` below 1, or a
+    ``timeout`` that :func:`crack_private_key` refuses, raises
+    :class:`InvalidArgument` before any key is made.
     """
+    if trials < 1:
+        raise InvalidArgument(f"trials must be at least 1, got {_decimal(trials)}")
+    _require_budget(timeout)
     rng = Rng64(seed)
     out: list[CrackTrial] = []
     for bits in bits_list:

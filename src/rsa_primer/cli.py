@@ -5,16 +5,17 @@ transcript stays human-checkable, and intermediate quantities real tools
 would hide (phi(n), block encodings, recovered factors) are printed on
 purpose; this is a teaching tool.
 
-A command fails by raising a class of :mod:`rsa_primer.errors`, whose
-message is the diagnostic and whose ``exit_code`` is the exit code (the
-README's table), or an ``OSError`` (exit 1); ``main`` catches nothing
-else.  stdout carries only payload, diagnostics go to stderr.
+A command returns nothing.  It fails by raising a class of
+:mod:`rsa_primer.errors`, whose message is the diagnostic and whose
+``exit_code`` is the exit code (the README's table), or an ``OSError``
+(exit 1); ``main`` catches nothing else and alone returns an exit code,
+2 for a command line argparse refuses.  stdout carries only payload,
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .cipher import (
@@ -35,7 +36,7 @@ from .codec import (
     format_plain_blocks,
     parse_cipher_blocks,
 )
-from .errors import Error, MalformedBlock, MalformedKeyFile, OracleBoundExceeded
+from .errors import Error, InvalidArgument, MalformedBlock, MalformedKeyFile, OracleBoundExceeded
 from .keys import (
     KeyPair,
     format_keypair,
@@ -67,10 +68,6 @@ DEMO_SEEDED_BITS = 16
 FACTOR_BOUND = 10**12
 
 
-def _fail(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 # --- argparse plumbing -------------------------------------------------------
 
 
@@ -80,13 +77,6 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _positive(text: str) -> int:
-    value = _natural(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
-    return value
-
-
 def _seed(text: str) -> int:
     value = _natural(text)
     if not 0 < value < 1 << 64:
@@ -94,14 +84,11 @@ def _seed(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _seconds(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected seconds, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("timeout must be positive and finite")
-    return value
 
 
 def _bits_list(text: str) -> list[int]:
@@ -150,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crack", help="recover a private key by factoring n")
     p.add_argument("--key", default=None, help="public or pair key file")
     p.add_argument("--method", choices=METHODS, default=TRIAL_DIVISION)
-    p.add_argument("--timeout", type=_positive_float, default=None,
+    p.add_argument("--timeout", type=_seconds, default=None,
                    help="wall-clock budget in seconds")
     p.add_argument("--csv", action="store_true",
                    help="run the timing benchmark and emit CSV instead")
@@ -158,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="benchmark bit widths, e.g. 8,12,16 (with --csv)")
     p.add_argument("--seed", type=_seed, default=None,
                    help="benchmark key seed (with --csv)")
-    p.add_argument("--trials", type=_positive, default=None,
+    p.add_argument("--trials", type=_natural, default=None,
                    help="benchmark trials per bit width, >= 1 (with --csv; default 3)")
     p.set_defaults(func=_cmd_crack)
 
@@ -205,7 +192,7 @@ def _load_key_file(path: str, part):
         raise MalformedKeyFile(f"key file error: {path}: {exc}") from None
 
 
-def _cmd_keygen(args: argparse.Namespace) -> int:
+def _cmd_keygen(args: argparse.Namespace) -> None:
     kp = generate_keypair(args.bits, args.seed, e=args.e,
                           retain_provenance=args.retain_pq)
     pair_text = format_keypair(kp)
@@ -215,50 +202,43 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         fh.write(format_public_key(kp.public).encode("ascii"))
     with open(key_path, "wb") as fh:
         fh.write(pair_text.encode("ascii"))
-    _fail(f"wrote {pub_path} (public) and {key_path} (pair)")
+    print(f"wrote {pub_path} (public) and {key_path} (pair)", file=sys.stderr)
     sys.stdout.write(pair_text.split("\n", 1)[1])  # the fields, without the header
-    return 0
 
 
-def _cmd_encrypt(args: argparse.Namespace) -> int:
+def _cmd_encrypt(args: argparse.Namespace) -> None:
     pk = _load_key_file(args.key, public_part)
     data = _read_input(args.infile)
     bs = encrypt_message(data, pk, args.codec)
     if bs.blocks:
         print(format_cipher_blocks(bs))
-    return 0
 
 
-def _cmd_decrypt(args: argparse.Namespace) -> int:
+def _cmd_decrypt(args: argparse.Namespace) -> None:
     sk = _load_key_file(args.key, private_part)
     not_ascii = MalformedBlock("ciphertext must be ASCII decimal blocks")
     bs = parse_cipher_blocks(_read_ascii(args.infile, not_ascii), args.codec, sk.n)
     data = decrypt_message(bs, sk)
     sys.stdout.buffer.write(data)
     sys.stdout.buffer.flush()
-    return 0
 
 
-def _cmd_crack(args: argparse.Namespace) -> int:
+def _cmd_crack(args: argparse.Namespace) -> None:
     if args.csv:
         if args.key is not None or args.bits is None or args.seed is None:
-            _fail("crack --csv needs --bits and --seed, and no --key")
-            return 2
-        trials = crack_benchmark(args.bits, args.seed, args.method,
-                                 args.timeout, args.trials or 3)
+            raise InvalidArgument("crack --csv needs --bits and --seed, and no --key")
+        trials = crack_benchmark(args.bits, args.seed, args.method, args.timeout,
+                                 3 if args.trials is None else args.trials)
         sys.stdout.write(benchmark_csv(trials))
-        return 0
+        return
     if args.key is None:
-        _fail("crack needs --key (or --csv with --bits and --seed)")
-        return 2
+        raise InvalidArgument("crack needs --key (or --csv with --bits and --seed)")
     if args.bits is not None or args.seed is not None or args.trials is not None:
-        _fail("crack --bits, --seed and --trials need --csv")
-        return 2
+        raise InvalidArgument("crack --bits, --seed and --trials need --csv")
     pk = _load_key_file(args.key, public_part)
     report = crack_private_key(pk, args.method, args.timeout)
     print(f"p={report.p} q={report.q} phi={report.phi} d={report.d}")
     print(f"method={report.method} elapsed={report.elapsed:.6f}s")
-    return 0
 
 
 def _demo_transcript(kp: KeyPair, message: bytes, seed: int | None) -> str:
@@ -301,13 +281,12 @@ def _demo_transcript(kp: KeyPair, message: bytes, seed: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(args: argparse.Namespace) -> None:
     if args.seed is None:
         kp = keypair_from_primes(DEMO_P, DEMO_Q, DEMO_E, retain_provenance=True)
     else:
         kp = generate_keypair(DEMO_SEEDED_BITS, args.seed, retain_provenance=True)
     sys.stdout.write(_demo_transcript(kp, DEMO_MESSAGE, args.seed))
-    return 0
 
 
 def _factorize(n: int) -> list[int]:
@@ -334,7 +313,7 @@ _NT_COMMANDS = {
 }
 
 
-def _cmd_nt(args: argparse.Namespace) -> int:
+def _cmd_nt(args: argparse.Namespace) -> None:
     func, arg_names, _ = _NT_COMMANDS[args.nt_command]
     result = func(*(getattr(args, name) for name in arg_names))
     if isinstance(result, bool):
@@ -343,7 +322,6 @@ def _cmd_nt(args: argparse.Namespace) -> int:
         print(" ".join(map(str, result)))
     else:
         print(result)
-    return 0
 
 
 # --- entry points ------------------------------------------------------------
@@ -361,13 +339,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except Error as exc:
-        _fail(str(exc))
+        print(exc, file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
-        _fail(f"file error: {exc}")
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

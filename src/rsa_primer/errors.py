@@ -15,6 +15,11 @@ class Error(Exception):
     exit_code = 3
 
 
+class InvalidArgument(Error):
+    """An argument outside its range, or flags valid alone but not together."""
+    exit_code = 2
+
+
 # --- number theory ---------------------------------------------------------
 
 class ModulusTooSmall(Error):

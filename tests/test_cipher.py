@@ -34,6 +34,7 @@ from rsa_primer.errors import (
     BlockOutOfRange,
     BlockTooLarge,
     CrackTimeout,
+    InvalidArgument,
     KeyTooLarge,
     NoFactor,
     NotCoprime,
@@ -336,6 +337,14 @@ class TestFanOut:
         assert len(forks) == 1  # 9 * 512 * 511: two slices
         assert_no_children(forks)
 
+    def test_never_more_slices_than_distinct_values(self, forks):
+        # One distinct value under a 1500-bit d and n is 2.25 M of work, two
+        # slices' worth; the second slice would be empty, so nothing forks.
+        n, d = 2**1500 - 1, 2**1499 + 1
+        assert cipher._map_distinct((5, 5, 5), PrivateKey(d, n)) == (pow(5, d, n),) * 3
+        assert forks == []
+        assert_no_children(forks)
+
     @pytest.mark.parametrize("crt", [True, False], ids=["crt", "plain"])
     def test_same_as_the_per_block_map(self, wide, forks, crt):
         kp, data, encrypted = wide
@@ -533,6 +542,11 @@ class TestCrackPrivateKey:
     def test_prime_modulus_rejected(self):
         with pytest.raises(NotSemiprime):
             crack_private_key(PublicKey(e=3, n=101))
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf, 0, -1.0])
+    def test_timeout_not_positive_and_finite_rejected(self, toy_keypair, timeout):
+        with pytest.raises(InvalidArgument, match="^timeout must be positive and finite$"):
+            crack_private_key(toy_keypair.public, POLLARD_RHO, timeout)
 
     def test_prime_power_rejected(self):
         with pytest.raises(NotSemiprime):
@@ -764,6 +778,17 @@ class TestCrackBenchmark:
     def test_empty(self):
         assert crack_benchmark([], seed=5) == []
         assert benchmark_summary([]) == []
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        with pytest.raises(InvalidArgument, match=f"^trials must be at least 1, got {trials}$"):
+            crack_benchmark([8], seed=5, trials=trials)
+
+    @pytest.mark.parametrize("bits_list", [[], [8]])
+    def test_bad_timeout_rejected_before_any_key(self, bits_list, monkeypatch):
+        monkeypatch.setattr(cipher, "generate_keypair", None)  # calling it fails
+        with pytest.raises(InvalidArgument, match="^timeout must be positive and finite$"):
+            crack_benchmark(bits_list, seed=5, timeout=math.nan)
 
     def test_timeout_recorded_not_raised(self):
         trials = crack_benchmark([8, 40], seed=5, timeout=0.05, trials=1)

@@ -376,6 +376,21 @@ class TestCrack:
         assert res.code == 2
         assert res.out == b""
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1"])
+    def test_timeout_refused_by_the_library(self, cli, toy_key_files, timeout):
+        # "--timeout -inf" is refused by argparse, as an option; joined with
+        # "=" every value reaches crack_private_key.
+        pub, _ = toy_key_files
+        res = cli(["crack", "--key", str(pub), f"--timeout={timeout}"])
+        assert (res.code, res.out) == (2, b"")
+        assert res.err == b"timeout must be positive and finite\n"
+
+    def test_missing_key_file_is_read_before_the_timeout_is_checked(self, cli, tmp_path):
+        res = cli(["crack", "--key", str(tmp_path / "missing.pub"), "--timeout", "0"])
+        assert res.code == 1
+        assert res.out == b""
+        assert res.err.startswith(b"file error: ")
+
     def test_csv_benchmark(self, cli):
         res = cli(["crack", "--csv", "--bits", "8,10", "--seed", "5",
                    "--trials", "2"])
@@ -391,6 +406,7 @@ class TestCrack:
         res = cli(["crack", "--csv", "--bits", "8", "--seed", "3", "--trials", "0"])
         assert res.code == 2
         assert res.out == b""
+        assert res.err == b"trials must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("bits", ["1_0", "+8", "٨", " 8", "8,+10", "8,1_0",
                                       "8,", ",8", "8,,10"])
@@ -568,6 +584,13 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stdout == b""
 
+    def test_flag_conflict_exits_2(self, toy_key_files):
+        pub, _ = toy_key_files
+        proc = self._run(["crack", "--key", str(pub), "--trials", "5"])
+        assert proc.returncode == 2
+        assert proc.stderr == b"crack --bits, --seed and --trials need --csv\n"
+        assert proc.stdout == b""
+
     def test_pipeline(self, tmp_path, toy_keypair):
         pub = tmp_path / "t.pub"
         pub.write_bytes(format_public_key(toy_keypair.public).encode())
@@ -722,6 +745,7 @@ class TestEveryFailureHasItsCode:
 
 # The exit-code table of the README, by error class.
 README_EXIT_CODES = {
+    "InvalidArgument": 2,
     "ModulusTooSmall": 3,
     "BothZero": 3,
     "NotCoprime": 3,
@@ -753,3 +777,10 @@ class TestExitCodes:
         assert cls.exit_code == README_EXIT_CODES[cls.__name__]
         readme = Path(__file__).resolve().parents[1] / "README.md"
         assert f"\n| {cls.exit_code} | " in readme.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["crack", "--help"]])
+    def test_help_exits_0_with_usage_on_stdout(self, cli, argv):
+        res = cli(argv)
+        assert res.code == 0
+        assert res.out.startswith(b"usage: rsa-primer")
+        assert res.err == b""
