@@ -28,6 +28,7 @@ the wheel; the table phase before it is bounded and runs uninterrupted.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from time import perf_counter
@@ -36,9 +37,11 @@ from . import codec
 from ._pool import split_map
 from ._record import Record, replace
 from .codec import BlockSeq
-from .errors import BlockTooLarge, CrackTimeout, InvalidArgument, NoFactor, NotSemiprime
-from .keys import PrivateKey, PublicKey, _decimal, _require_printable, generate_keypair
-from .number_theory import Rng64, _sieve, is_probable_prime, mod_inverse
+from .errors import (BitsTooSmall, BlockTooLarge, CrackTimeout, InvalidArgument, NoFactor,
+                     NotSemiprime)
+from .keys import PrivateKey, PublicKey, generate_keypair
+from .number_theory import (Rng64, _decimal, _require_printable, _sieve,
+                            is_probable_prime, mod_inverse)
 
 __all__ = [
     "TRIAL_DIVISION",
@@ -68,7 +71,7 @@ def _check_block(block: int, n: int) -> None:
     if block >= n:
         raise BlockTooLarge(f"block {_decimal(block)} is not below the modulus {_decimal(n)}")
     if block < 0:
-        raise ValueError(f"block must be non-negative, got {_decimal(block)}")
+        raise InvalidArgument(f"block must be non-negative, got {_decimal(block)}")
 
 
 def encrypt_block(m: int, pk: PublicKey) -> int:
@@ -142,7 +145,7 @@ def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -
     codec; passing ``codec_id`` merely asserts it matches.
     """
     if codec_id is not None and codec_id != bs.codec_id:
-        raise ValueError(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
+        raise InvalidArgument(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
     return codec.decode(replace(bs, blocks=_map_distinct(bs.blocks, sk)))
 
 
@@ -223,7 +226,7 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     An n below 2 has no prime factor and raises :class:`NoFactor`.
     """
     if n < 2:
-        raise NoFactor(f"{n} has no prime factor")
+        raise NoFactor(f"{_decimal(n)} has no prime factor")
     root = math.isqrt(n)
     primes, products = _primes_below(min(1 << root.bit_length(), _TABLE_CAP))
     for run in range(0, bisect_right(primes, root), _PRIMES_PER_GCD):
@@ -308,7 +311,7 @@ METHODS = tuple(_FACTOR_METHODS)
 
 
 def _require_budget(timeout: float | None) -> None:
-    if timeout is not None and not 0 < timeout < math.inf:  # nan fails both
+    if timeout is not None and not 0 < timeout <= sys.float_info.max:  # nan fails both
         raise InvalidArgument("timeout must be positive and finite")
 
 
@@ -321,14 +324,14 @@ def crack_private_key(
     inverse of e modulo phi(n), which is exactly why factoring must be hard
     for RSA to stand.  Raises :class:`CrackTimeout`, its message led by
     the seconds spent, when ``timeout`` seconds pass without a factor,
-    :class:`InvalidArgument` for a ``timeout`` neither ``None`` nor
-    positive and finite, :class:`KeyTooLarge` when no key file could hold n,
+    :class:`InvalidArgument` for a method not in :data:`METHODS` or a
+    ``timeout`` neither ``None`` nor positive and at most the largest float,
+    :class:`KeyTooLarge` when no key file could hold n,
     :class:`NotSemiprime` when n is not a product of two distinct primes,
-    :class:`NotCoprime` when e has no inverse modulo phi(n), and
-    ``ValueError`` for a method not in :data:`METHODS`.
+    and :class:`NotCoprime` when e has no inverse modulo phi(n).
     """
     if method not in _FACTOR_METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     _require_budget(timeout)
     n = pk.n
     _require_printable(n.bit_length(), n)  # the messages below write n
@@ -364,13 +367,15 @@ def crack_benchmark(
     so the keys (though not the timings) are reproducible.  A trial that
     exceeds ``timeout`` is recorded with ``solved=False`` instead of
     aborting the run.  Trials run sequentially; interleaving them would
-    contaminate the wall-clock numbers.  ``trials`` below 1, or a
-    ``timeout`` that :func:`crack_private_key` refuses, raises
-    :class:`InvalidArgument` before any key is made.
+    contaminate the wall-clock numbers.  Before any key is made, ``trials``
+    below 1 or a ``timeout`` :func:`crack_private_key` refuses raises
+    :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {_decimal(trials)}")
     _require_budget(timeout)
+    if any(bits < 4 for bits in bits_list):
+        raise BitsTooSmall("each bit width must be at least 4")
     rng = Rng64(seed)
     out: list[CrackTrial] = []
     for bits in bits_list:

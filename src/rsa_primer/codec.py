@@ -17,11 +17,12 @@ from ._record import Record
 from .errors import (
     BlockOutOfRange,
     BlockTooLarge,
+    InvalidArgument,
     MalformedBlock,
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
-from .keys import _decimal, _require_printable
+from .number_theory import _decimal, _require_printable
 
 __all__ = [
     "CODEC_TOY_ASCII",
@@ -69,7 +70,7 @@ def decimal_digits(n: int) -> int:
 def chunk_size_for(n: int) -> int:
     """Largest k with 256**k <= n: the bytes that always fit in one block."""
     if n < 256:
-        raise ModulusTooSmallForCodec(f"chunked codec needs n >= 256, got {n}")
+        raise ModulusTooSmallForCodec(f"chunked codec needs n >= 256, got {_decimal(n)}")
     # 256**k <= n exactly when 8k <= bit_length(n) - 1.
     return (n.bit_length() - 1) // 8
 
@@ -77,7 +78,7 @@ def chunk_size_for(n: int) -> int:
 def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:
     """One block per ASCII character; requires n > 999 so blocks fit."""
     if n <= 999:
-        raise ModulusTooSmallForCodec(f"toy-ascii codec needs n > 999, got {n}")
+        raise ModulusTooSmallForCodec(f"toy-ascii codec needs n > 999, got {_decimal(n)}")
     for b in text:
         if b >= 128:
             raise NonAsciiByte(f"byte 0x{b:02x} is not ASCII")
@@ -86,7 +87,7 @@ def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:
 
 def decode_toy_ascii(bs: BlockSeq) -> bytes:
     if bs.codec_id != CODEC_TOY_ASCII:
-        raise ValueError(f"expected a toy-ascii block sequence, got {bs.codec_id}")
+        raise InvalidArgument(f"expected a toy-ascii block sequence, got {bs.codec_id}")
     for b in bs.blocks:
         if b >= 128:
             raise BlockOutOfRange(f"block {_decimal(b)} is not an ASCII code")
@@ -115,7 +116,7 @@ def encode_chunked(data: bytes, n: int) -> BlockSeq:
 def decode_chunked(bs: BlockSeq) -> bytes:
     """Exact inverse of :func:`encode_chunked`."""
     if bs.codec_id != CODEC_CHUNKED:
-        raise ValueError(f"expected a chunked block sequence, got {bs.codec_id}")
+        raise InvalidArgument(f"expected a chunked block sequence, got {bs.codec_id}")
     if bs.chunk_bytes is None:
         raise MalformedBlock("chunked block sequence is missing its chunk size")
     k = bs.chunk_bytes
@@ -146,7 +147,7 @@ def encode(data: bytes, n: int, codec_id: str) -> BlockSeq:
         return encode_toy_ascii(data, n)
     if codec_id == CODEC_CHUNKED:
         return encode_chunked(data, n)
-    raise ValueError(f"unknown codec {codec_id!r}")
+    raise InvalidArgument(f"unknown codec {codec_id!r}")
 
 
 def decode(bs: BlockSeq) -> bytes:
@@ -155,7 +156,7 @@ def decode(bs: BlockSeq) -> bytes:
         return decode_toy_ascii(bs)
     if bs.codec_id == CODEC_CHUNKED:
         return decode_chunked(bs)
-    raise ValueError(f"unknown codec {bs.codec_id!r}")
+    raise InvalidArgument(f"unknown codec {bs.codec_id!r}")
 
 
 def block_seq(blocks: tuple[int, ...], codec_id: str, n: int) -> BlockSeq:
@@ -187,5 +188,5 @@ def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
 def format_plain_blocks(bs: BlockSeq) -> str:
     """Display form of toy-ascii message blocks: 3-digit zero-padded codes."""
     if bs.codec_id != CODEC_TOY_ASCII:
-        raise ValueError(f"expected a toy-ascii block sequence, got {bs.codec_id}")
+        raise InvalidArgument(f"expected a toy-ascii block sequence, got {bs.codec_id}")
     return " ".join(str(b).zfill(3) for b in bs.blocks)

@@ -1,12 +1,12 @@
 """Exception types raised across the toolkit.
 
 Every error is a subclass of :class:`Error` so callers can catch the whole
-family with one clause.  Exit codes live here too: each class carries the
-CLI exit code it maps to as ``exit_code``, which is 3 (a codec or
-number-theory domain error) unless the class overrides it.  ``cli.main``
-prints the message and returns that code; apart from a file system error
-(``OSError``, exit 1) it maps no other exception, so each failure a command
-reports is one of these classes.
+family with one clause; :class:`InvalidArgument` is also a ``ValueError``.
+A wrong type raises ``TypeError``, as in Python.  Each class carries its
+CLI exit code as ``exit_code``: 3 (a codec or number-theory domain error)
+unless the class overrides it.  ``cli.main`` prints the message and returns
+that code; apart from a file system error (``OSError``, exit 1) it maps no
+other exception, so each failure a command reports is one of these classes.
 """
 
 
@@ -15,7 +15,7 @@ class Error(Exception):
     exit_code = 3
 
 
-class InvalidArgument(Error):
+class InvalidArgument(Error, ValueError):
     """An argument outside its range, or flags valid alone but not together."""
     exit_code = 2
 

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 
 from ._record import Record
-from .errors import InvalidPublicExponent, KeyTooLarge, MalformedKeyFile
+from .errors import InvalidPublicExponent, MalformedKeyFile
 from .number_theory import (
     Rng64,
+    _decimal,
     _draw_bits,
     _require_natural,
+    _require_printable,
     gen_prime,
     is_probable_prime,
     mod_inverse,
@@ -74,37 +75,6 @@ class KeyPair(Record):
     public: PublicKey
     private: PrivateKey
     provenance: Provenance | None = None
-
-
-# CPython limits int-string conversion from 3.10.7 on; an older interpreter
-# converts any int, as a limit of 0 does.
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _require_printable(width: int, n: int | None = None, what: str = "modulus") -> None:
-    """Refuse a ``width``-bit modulus (or other key number, named by
-    ``what``) whose decimal form ``str()`` cannot write: n, or without it
-    the widest such number 2**width - 1, has more digits than
-    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
-    """
-    limit = _max_str_digits()
-    if not limit or width <= 3 * limit:  # then n < 8**limit < 10**limit
-        return
-    ten = 10**limit
-    # 10**limit is no power of two, so 2**width - 1 < 10**limit exactly
-    # when width < ten.bit_length().
-    if (n >= ten) if n is not None else (width >= ten.bit_length()):
-        raise KeyTooLarge(f"a {width}-bit {what} has more decimal digits than "
-                          f"the int-string limit of {limit}")
-
-
-def _decimal(x: int) -> str:
-    """x in decimal for an error message, or its width when ``str()``
-    cannot write it, so that the message itself never fails."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
 
 
 def _check_exponent(e: int, phi: int) -> None:
@@ -199,9 +169,9 @@ def validate_keypair(kp: KeyPair) -> list[str]:
     if kp.provenance is not None:
         p, q, phi = kp.provenance.p, kp.provenance.q, kp.provenance.phi
         if not is_probable_prime(p):
-            findings.append(f"p = {p} is not prime")
+            findings.append(f"p = {_decimal(p)} is not prime")
         if not is_probable_prime(q):
-            findings.append(f"q = {q} is not prime")
+            findings.append(f"q = {_decimal(q)} is not prime")
         if p == q:
             findings.append("p and q are equal")
         if p * q != pub.n:

@@ -14,6 +14,7 @@ callers, so identical seeds reproduce identical keys on every platform.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, compress
@@ -23,6 +24,8 @@ from .errors import (
     BitsTooSmall,
     BothZero,
     EqualPrimes,
+    InvalidArgument,
+    KeyTooLarge,
     ModulusTooSmall,
     NotCoprime,
     NotPrime,
@@ -52,11 +55,42 @@ _XORSHIFT_MULTIPLIER = 0x2545F4914F6CDD1D
 TOTIENT_ORACLE_BOUND = 10**7
 
 
+# CPython limits int-string conversion from 3.10.7 on; an older interpreter
+# converts any int, as a limit of 0 does.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal(x: int) -> str:
+    """x in decimal for an error message, or its width when ``str()``
+    cannot write it, so that the message itself never fails."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
+
+
+def _require_printable(width: int, n: int | None = None, what: str = "modulus") -> None:
+    """Refuse a ``width``-bit modulus (or other key number, named by
+    ``what``) whose decimal form ``str()`` cannot write: n, or without it
+    the widest such number 2**width - 1, has more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+    """
+    limit = _max_str_digits()
+    if not limit or width <= 3 * limit:  # then n < 8**limit < 10**limit
+        return
+    ten = 10**limit
+    # 10**limit is no power of two, so 2**width - 1 < 10**limit exactly
+    # when width < ten.bit_length().
+    if (n >= ten) if n is not None else (width >= ten.bit_length()):
+        raise KeyTooLarge(f"a {_decimal(width)}-bit {what} has more decimal digits "
+                          f"than the int-string limit of {limit}")
+
+
 def _require_natural(value: int, name: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+        raise InvalidArgument(f"{name} must be non-negative, got {_decimal(value)}")
 
 
 def _require_modulus(n: int, name: str) -> None:
@@ -71,18 +105,18 @@ class Rng64:
     The update is: x ^= x >> 12; x ^= x << 25; x ^= x >> 27 (all on 64-bit
     words), output (x * 0x2545F4914F6CDD1D) mod 2**64, with x as the new
     state.  The sequence is a pure function of the seed, which is what makes
-    key generation reproducible across runs and platforms.
+    key generation reproducible across runs and platforms.  A seed of 0
+    raises :class:`ZeroState`, one outside [0, 2**64) :class:`InvalidArgument`.
     """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        _require_natural(seed, "seed")
         if seed == 0:
             raise ZeroState("the xorshift64* state must be nonzero")
-        if not 0 < seed < 1 << 64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        if seed >= 1 << 64:
+            raise InvalidArgument(f"seed must fit in 64 bits, got {_decimal(seed)}")
         self.state = seed
 
     def next_u64(self) -> int:
@@ -198,7 +232,7 @@ def mod_inverse(a: int, m: int) -> int:
     _require_modulus(m, "m")
     g = math.gcd(a, m)
     if g != 1:
-        raise NotCoprime(f"no inverse: gcd({a}, {m}) = {g} != 1")
+        raise NotCoprime(f"no inverse: gcd({_decimal(a)}, {_decimal(m)}) = {_decimal(g)} != 1")
     return pow(a, -1, m)
 
 
@@ -207,11 +241,11 @@ def totient_of_semiprime(p: int, q: int) -> int:
     _require_natural(p, "p")
     _require_natural(q, "q")
     if not is_probable_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
+        raise NotPrime(f"p = {_decimal(p)} is not prime")
     if not is_probable_prime(q):
-        raise NotPrime(f"q = {q} is not prime")
+        raise NotPrime(f"q = {_decimal(q)} is not prime")
     if p == q:
-        raise EqualPrimes(f"p and q must be distinct, both are {p}")
+        raise EqualPrimes(f"p and q must be distinct, both are {_decimal(p)}")
     return (p - 1) * (q - 1)
 
 
@@ -227,7 +261,7 @@ def totient_bruteforce(n: int) -> int:
         raise OracleBoundExceeded(f"totient oracle requires n > 1, got {n}")
     if n > TOTIENT_ORACLE_BOUND:
         raise OracleBoundExceeded(
-            f"totient oracle bounded at {TOTIENT_ORACLE_BOUND}, got {n}"
+            f"totient oracle bounded at {TOTIENT_ORACLE_BOUND}, got {_decimal(n)}"
         )
     return sum(1 for x in range(1, n) if math.gcd(x, n) == 1)
 
@@ -349,10 +383,12 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     Draws one random odd ``bits``-bit candidate from the stream, then walks
     odd candidates (+2) until the primality test passes, wrapping back to
     the bottom of the range so the width stays exact.  Deterministic for a
-    given stream state.
+    given stream state.  Before any draw, a width below 4 raises
+    :class:`BitsTooSmall`, one too wide for ``str()`` :class:`KeyTooLarge`.
     """
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {bits}")
+    _require_printable(bits, what="prime")
     low = 1 << (bits - 1)
     high = (1 << bits) - 1
     candidate = _draw_bits(bits, rng) | low | 1

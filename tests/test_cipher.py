@@ -31,6 +31,7 @@ from rsa_primer.cipher import (
 )
 from rsa_primer.codec import CODEC_CHUNKED, CODEC_TOY_ASCII, CODECS, BlockSeq, block_seq
 from rsa_primer.errors import (
+    BitsTooSmall,
     BlockOutOfRange,
     BlockTooLarge,
     CrackTimeout,
@@ -548,6 +549,11 @@ class TestCrackPrivateKey:
         with pytest.raises(InvalidArgument, match="^timeout must be positive and finite$"):
             crack_private_key(toy_keypair.public, POLLARD_RHO, timeout)
 
+    # An int compares exactly with inf, but start + timeout would overflow.
+    def test_timeout_past_the_largest_float_rejected(self, toy_keypair):
+        with pytest.raises(InvalidArgument, match="^timeout must be positive and finite$"):
+            crack_private_key(toy_keypair.public, POLLARD_RHO, 10**400)
+
     def test_prime_power_rejected(self):
         with pytest.raises(NotSemiprime):
             crack_private_key(PublicKey(e=3, n=121))
@@ -789,6 +795,12 @@ class TestCrackBenchmark:
         monkeypatch.setattr(cipher, "generate_keypair", None)  # calling it fails
         with pytest.raises(InvalidArgument, match="^timeout must be positive and finite$"):
             crack_benchmark(bits_list, seed=5, timeout=math.nan)
+
+    @pytest.mark.parametrize("bits_list", [[3], [8, 3], [8, -1]])
+    def test_width_below_4_rejected_before_any_key(self, bits_list, monkeypatch):
+        monkeypatch.setattr(cipher, "generate_keypair", None)  # calling it fails
+        with pytest.raises(BitsTooSmall, match="^each bit width must be at least 4$"):
+            crack_benchmark(bits_list, seed=5)
 
     def test_timeout_recorded_not_raised(self):
         trials = crack_benchmark([8, 40], seed=5, timeout=0.05, trials=1)

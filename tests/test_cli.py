@@ -130,6 +130,23 @@ def test_seed_outside_64_bits_exits_2(cli, tmp_path, monkeypatch, command):
     assert res.out == b""
 
 
+# The library owns the seed and width rules: a refused value gets its
+# message, with no usage line, and keygen writes no file.
+@pytest.mark.parametrize("seed, reason", [
+    ("0", b"the xorshift64* state must be nonzero\n"),
+    (str(1 << 64), b"seed must fit in 64 bits, got 18446744073709551616\n"),
+], ids=["0", "2^64"])
+def test_keygen_seed_refused_by_the_library(cli, tmp_path, seed, reason):
+    res = cli(["keygen", "--bits", "12", "--seed", seed, "--out", str(tmp_path / "k")])
+    assert (res.code, res.out, res.err) == (2, b"", reason)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_width_refused_by_the_library(cli):
+    res = cli(["crack", "--csv", "--bits", "8,3", "--seed", "1"])
+    assert (res.code, res.out, res.err) == (2, b"", b"each bit width must be at least 4\n")
+
+
 class TestEncryptDecrypt:
     def test_worked_example_via_stdin(self, cli, toy_key_files):
         pub, pair = toy_key_files
@@ -733,6 +750,18 @@ class TestEveryFailureHasItsCode:
             args += ["--codec", codec, "--in", str(tmp_path / "in")]
         code = cli(args).code
         assert type(code) is int and 0 <= code <= 6
+
+    # Any decimal --seed parses; Rng64 alone decides which it refuses.
+    @pytest.mark.parametrize("command", [["keygen", "--bits", "8", "--out", "k"], ["demo"],
+                                         ["crack", "--csv", "--bits", "8", "--trials", "1"]],
+                             ids=["keygen", "demo", "crack-csv"])
+    @settings(_FUZZ, max_examples=20)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, 10**400]),
+                          st.integers(0, 2**70)))
+    def test_seed(self, cli, tmp_path, monkeypatch, command, seed):
+        monkeypatch.chdir(tmp_path)
+        code = cli([*command, "--seed", str(seed)]).code
+        assert code == (0 if 0 < seed < 2**64 else 2)
 
     @pytest.mark.parametrize("command", _NT_ARGS)
     @settings(_FUZZ, max_examples=30)

@@ -381,6 +381,12 @@ class TestModulusDigitLimit:
         with pytest.raises(KeyTooLarge, match=f"^a {2 * bits}-bit modulus "):
             generate_keypair(bits, 1)
 
+    # The width itself has more digits than str() writes, so the message
+    # gives the width's own width.
+    def test_generate_refuses_unwritable_width(self, no_prime_drawn):
+        with pytest.raises(KeyTooLarge, match="^a <16611-bit number>-bit modulus "):
+            generate_keypair(10**5000, 1)
+
     def test_generate_refuses_under_lowered_limit(self, no_prime_drawn, low_digit_limit):
         with pytest.raises(KeyTooLarge, match="^a 2128-bit modulus "):
             generate_keypair(1064, 1)

@@ -12,6 +12,8 @@ from rsa_primer.errors import (
     BitsTooSmall,
     BothZero,
     EqualPrimes,
+    InvalidArgument,
+    KeyTooLarge,
     ModulusTooSmall,
     NotCoprime,
     NotPrime,
@@ -442,6 +444,14 @@ class TestRng64:
         with pytest.raises(ValueError):
             Rng64(1 << 64)
 
+    @pytest.mark.parametrize("seed, reason", [
+        (1 << 64, "seed must fit in 64 bits, got 18446744073709551616"),
+        (-1, "seed must be non-negative, got -1"),
+    ], ids=["2^64", "-1"])
+    def test_seed_outside_64_bits_is_an_invalid_argument(self, seed, reason):
+        with pytest.raises(InvalidArgument, match=f"^{reason}$"):
+            Rng64(seed)
+
     @pytest.mark.parametrize("seed, kind", [("1", "str"), (1.0, "float"), (True, "bool")])
     def test_non_int_seed_rejected(self, seed, kind):
         with pytest.raises(TypeError, match=f"^seed must be an int, got {kind}$"):
@@ -479,6 +489,17 @@ class TestGenPrime:
     def test_rejects_tiny_width(self):
         with pytest.raises(BitsTooSmall):
             gen_prime(3, Rng64(1))
+
+    # A prime of such a width could not be written, nor even held in memory
+    # for 2**64 - 1 bits: the width is refused before the stream is read.
+    @pytest.mark.parametrize("bits, width", [(10**400, "1" + "0" * 400),
+                                             (2**64 - 1, "18446744073709551615")],
+                             ids=["10^400", "2^64-1"])
+    def test_width_past_digit_limit_refused(self, bits, width):
+        rng = Rng64(1)
+        with pytest.raises(KeyTooLarge, match=f"^a {width}-bit prime has more decimal "):
+            gen_prime(bits, rng)
+        assert rng.state == 1
 
     def test_pinned_256_bit_prime_and_stream_state(self):
         # every seeded round draws from the stream, so the prime and the
