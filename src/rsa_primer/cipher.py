@@ -19,10 +19,19 @@ either by trial division (didactic, obviously correct: the primes below
 with their product, then 6k +- 1) or Pollard rho with Brent cycle
 detection (scales far enough to make timing curves interesting; it
 multiplies 128 differences together per gcd, reducing the product once
-per four steps).  Both honor a wall-clock budget so the hardness story
-can be told with data: toy keys fall instantly, 64-bit-per-prime keys
-outlive any reasonable timeout.  Trial division reads the clock only on
-the wheel; the table phase before it is bounded and runs uninterrupted.
+per four steps).  From n >= 2^40 on, where a walk takes about n^(1/4)
+steps, rho races one walk per idle CPU through ``_pool.race``: the caller's is
+the walk a serial run takes (x -> x^2 + 1 from 2), each worker's another
+polynomial, and the first factor found stops the rest within 1024 steps.
+Independent walks on m CPUs find a factor up to sqrt(m) times sooner
+(Brent 1990; van Oorschot and Wiener 1999).  The report is the same
+whichever walk wins; only ``elapsed`` differs.  Smaller keys, those of the
+command-line benchmark, the demo and the worked example among them, walk
+once, in the caller.  Both methods honor a wall-clock budget so the
+hardness story can be told with data: toy keys fall instantly,
+64-bit-per-prime keys outlive any reasonable timeout.  Trial division
+reads the clock only on the wheel; the table phase before it is bounded
+and runs uninterrupted.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from time import perf_counter
 
 from . import codec
-from ._pool import split_map
+from ._pool import race, split_map
 from ._record import Record, replace
 from .codec import BlockSeq
 from .errors import (BitsTooSmall, BlockTooLarge, CrackTimeout, InvalidArgument, NoFactor,
@@ -74,18 +83,24 @@ def _check_block(block: int, n: int) -> None:
         raise InvalidArgument(f"block must be non-negative, got {_decimal(block)}")
 
 
+def _check_exponent(x: int) -> None:
+    if x < 1:
+        raise InvalidArgument(f"exponent must be at least 1, got {_decimal(x)}")
+
+
 def encrypt_block(m: int, pk: PublicKey) -> int:
-    """C = M^e mod n for a single block 0 <= M < n.
+    """C = M^e mod n for a single block 0 <= M < n, under e >= 1.
 
     Computed by the builtin ``pow``; ``number_theory.mod_pow`` is the
     readable square-and-multiply version of the same thing.
     """
+    _check_exponent(pk.e)
     _check_block(m, pk.n)
     return pow(m, pk.e, pk.n)
 
 
 def decrypt_block(c: int, sk: PrivateKey) -> int:
-    """M = C^d mod n for a single block 0 <= C < n.
+    """M = C^d mod n for a single block 0 <= C < n, under d >= 1.
 
     When the key keeps p and q (generated or parsed with provenance, as
     ``keygen --retain-pq`` writes it), M is found by the Chinese remainder
@@ -95,6 +110,7 @@ def decrypt_block(c: int, sk: PrivateKey) -> int:
     work than C^d mod n, which is what a key without p and q computes.
     Both ways use the builtin ``pow``.
     """
+    _check_exponent(sk.d)
     _check_block(c, sk.n)
     if sk.crt is None:
         return pow(c, sk.d, sk.n)
@@ -112,13 +128,16 @@ def _transform_all(values: list[int], fields: tuple, private: bool) -> list[int]
 
 
 def _map_distinct(blocks: tuple[int, ...], key: PublicKey | PrivateKey) -> tuple[int, ...]:
-    # One transform per distinct value, each checked in order of first
-    # occurrence before any goes to a worker, so the first bad block raises.
+    # One transform per distinct value; the exponent, then each value in
+    # order of first occurrence, is checked before any goes to a worker, so
+    # the first bad block raises.
+    private = isinstance(key, PrivateKey)
+    exponent = key.d if private else key.e
+    _check_exponent(exponent)
     values = list(dict.fromkeys(blocks))
     for b in values:
         _check_block(b, key.n)
-    private = isinstance(key, PrivateKey)
-    work = len(values) * key.n.bit_length() * (key.d if private else key.e).bit_length()
+    work = len(values) * key.n.bit_length() * exponent.bit_length()
     done = split_map(_transform_all, values, (tuple(vars(key).values()), private), work)
     table = dict(zip(values, done))
     return tuple(map(table.__getitem__, blocks))
@@ -249,28 +268,45 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
 
 
 _RHO_GROUP = 4  # steps per reduction of q; no abs(x - y), as gcd(-a, n) = gcd(a, n)
+_RHO_POLL_EVERY = 1024  # single steps between reads of the clock and of lost()
+# Rho walks about n^(1/4) steps, each taken as this much work by _pool._slices,
+# so walks race from n >= 2^40 on.  Raced over serial mean time, two walks
+# against one on 200-400 keys a width (a shared 2-vCPU x86 VM, CPython 3.11):
+# 1.23 at 14-bit primes, 0.98 at 16, 0.92 at 18, 0.88 at 20, 0.77 at 28.
+_RHO_STEP_WORK = 2**11
 
 
 def _pollard_rho_factor(n: int, deadline: float | None) -> int:
-    # Brent's cycle finding on x -> x^2 + c mod n (c + 1 after a cycle with no
-    # factor); the clock is read once per 8192 single steps and per gcd batch.
-    # Within a 128-step gcd batch q takes the differences x - y four at a
-    # time and is reduced mod n once per four; q stays +- the product of the
-    # |x - y| mod n, so every gcd is the one a reduction per step gives.
-    # A proper factor of a composite n is returned.  On a prime n every cycle
-    # would close with gcd = n and c would grow forever, hence the check.
+    # A proper factor of a composite n, from the first of the walks raced on
+    # the CPUs _pool grants (walk 0, c = 1, alone below the line).  On a prime
+    # n every cycle would close with gcd = n and c would grow forever, hence
+    # the check.
     if n < 4 or is_probable_prime(n):
         raise NoFactor(f"{n} is not composite, so rho has no factor to find")
     if n % 2 == 0:
         return 2
-    c = 1
+    return race(_rho_walk, (n, deadline), math.isqrt(math.isqrt(n)) * _RHO_STEP_WORK,
+                lambda f: type(f) is int and 1 < f < n and n % f == 0)
+
+
+def _rho_walk(n: int, deadline: float | None, walk: int,
+              lost: Callable[[], bool]) -> int | None:
+    # Brent's cycle finding on x -> x^2 + c mod n from y = 2, c = 2 * walk + 1
+    # (c + 1 after a cycle with no factor).  The clock and lost() are read
+    # once per 1024 single steps and per gcd batch; None once lost() is true.
+    # Within a 128-step gcd batch q takes the differences x - y four at a
+    # time and is reduced mod n once per four; q stays +- the product of the
+    # |x - y| mod n, so every gcd is the one a reduction per step gives.
+    c = 2 * walk + 1
     while True:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            for done in range(0, r, _TIMEOUT_CHECK_EVERY):
-                for _ in range(min(_TIMEOUT_CHECK_EVERY, r - done)):
+            for done in range(0, r, _RHO_POLL_EVERY):
+                for _ in range(min(_RHO_POLL_EVERY, r - done)):
                     y = (y * y + c) % n
+                if lost():
+                    return None
                 if _deadline_passed(deadline):
                     raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
             k = 0
@@ -288,6 +324,8 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
+                if lost():
+                    return None
                 if _deadline_passed(deadline):
                     raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
             r <<= 1
@@ -322,7 +360,10 @@ def crack_private_key(
 
     Once n = p*q is known, phi(n) = (p-1)(q-1) follows and d is just the
     inverse of e modulo phi(n), which is exactly why factoring must be hard
-    for RSA to stand.  Raises :class:`CrackTimeout`, its message led by
+    for RSA to stand.  Pollard rho on an n of 2^40 or more races one walk
+    per idle CPU and takes the first factor; ``elapsed`` is then the race's
+    wall time, and every other field is what one walk gives.  Raises
+    :class:`CrackTimeout`, its message led by
     the seconds spent, when ``timeout`` seconds pass without a factor,
     :class:`InvalidArgument` for a method not in :data:`METHODS` or a
     ``timeout`` neither ``None`` nor positive and at most the largest float,
@@ -367,7 +408,9 @@ def crack_benchmark(
     so the keys (though not the timings) are reproducible.  A trial that
     exceeds ``timeout`` is recorded with ``solved=False`` instead of
     aborting the run.  Trials run sequentially; interleaving them would
-    contaminate the wall-clock numbers.  Before any key is made, ``trials``
+    contaminate the wall-clock numbers.  On a multi-CPU host a Pollard-rho
+    trial from n >= 2^40 on races one walk per idle CPU, and its
+    ``elapsed`` is the race's wall time.  Before any key is made, ``trials``
     below 1 or a ``timeout`` :func:`crack_private_key` refuses raises
     :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`.
     """

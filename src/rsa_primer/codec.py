@@ -22,7 +22,7 @@ from .errors import (
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
-from .number_theory import _decimal, _require_printable
+from .number_theory import _decimal, _require_natural, _require_printable
 
 __all__ = [
     "CODEC_TOY_ASCII",
@@ -63,6 +63,7 @@ class BlockSeq(Record):
 
 
 def decimal_digits(n: int) -> int:
+    _require_natural(n, "n")
     _require_printable(n.bit_length(), n)
     return len(str(n))
 

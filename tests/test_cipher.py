@@ -1,3 +1,4 @@
+import functools
 import marshal
 import math
 import os
@@ -42,7 +43,7 @@ from rsa_primer.errors import (
     NotSemiprime,
 )
 from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
-from rsa_primer.number_theory import mod_pow
+from rsa_primer.number_theory import is_probable_prime, mod_pow
 
 GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
@@ -78,6 +79,32 @@ class TestBlockTransform:
         for sk in (small_keypair.private, PrivateKey(d=17, n=143)):
             with pytest.raises(ValueError):
                 decrypt_block(-1, sk)
+
+    # e = -1 would compute a modular inverse, and e = 0 sends every block
+    # to 1: neither is RSA, so the key is refused before any pow.
+    @pytest.mark.parametrize("exponent", [0, -1, -(2**64)])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_exponent_below_1_refused(self, monkeypatch, exponent, m):
+        def untouched(*args):
+            raise AssertionError("pow was called")
+
+        monkeypatch.setattr(cipher, "pow", untouched, raising=False)
+        pattern = "^exponent must be at least 1, got -?[0-9]+$"
+        with pytest.raises(InvalidArgument, match=pattern):
+            encrypt_block(m, PublicKey(exponent, 15))
+        for sk in (PrivateKey(exponent, 15), PrivateKey(exponent, 15, (3, 5, 1, 1, 2))):
+            with pytest.raises(InvalidArgument, match=pattern):
+                decrypt_block(m, sk)
+
+    def test_message_under_an_exponent_below_1_refused_before_any_fork(self, no_fork):
+        # once per message, in the caller: no worker is handed such a key
+        with pytest.raises(InvalidArgument, match="^exponent must be at least 1, got -1$"):
+            encrypt_message(b"Tue 7PM", PublicKey(-1, 3099521), CODEC_TOY_ASCII)
+        # 2000 blocks under a 1025-bit n and a 601-bit d: work to split
+        n = 2**1024 + 1
+        with pytest.raises(InvalidArgument, match="^exponent must be at least 1, got -[0-9]+$"):
+            decrypt_message(block_seq(tuple(range(1, 2001)), CODEC_CHUNKED, n),
+                            PrivateKey(-(2**600), n))
 
     def test_messages_write_a_huge_number_by_width(self):
         huge = 10**4400 + 1  # 14617 bits: past str()'s default limit
@@ -664,6 +691,183 @@ class TestCrackPrivateKey:
         # 91 = 7 * 13 factors, but phi = 72 shares 3 with e, so no d exists.
         with pytest.raises(NotCoprime, match=r"^no inverse: gcd\(3, 72\) = 3 != 1$"):
             crack_private_key(PublicKey(3, 91))
+
+
+def _rig_walks(monkeypatch, worker_walk, caller_waits=False):
+    """Each worker's rho walk becomes worker_walk(walk, n, deadline, k, lost);
+    the caller's is the real one, started once a worker has set the flag
+    when caller_waits."""
+    walk = cipher._rho_walk
+
+    @functools.wraps(walk)  # the workers find it by this name
+    def rigged(n, deadline, k, lost):
+        if k:
+            return worker_walk(walk, n, deadline, k, lost)
+        end = perf_counter() + 10
+        while caller_waits and not _pool._flag[0]:
+            assert perf_counter() < end, "no worker set the flag"
+            sleep(0.001)
+        return walk(n, deadline, k, lost)
+
+    monkeypatch.setattr(cipher, "_rho_walk", rigged)
+
+
+def _exit_mid_race(walk, n, deadline, k, lost):
+    return walk(n, deadline, k, lambda: os._exit(1))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
+class TestRhoRace:
+    """A long enough rho walk races one walk per idle CPU; the first factor
+    wins.  Unless a test says otherwise, nothing else runs on the host."""
+
+    @pytest.fixture(autouse=True)
+    def idle_host(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_running", lambda: 1)
+
+    def test_the_line(self, three_cpus):
+        def entrants(n):
+            return _pool._slices(math.isqrt(math.isqrt(n)) * cipher._RHO_STEP_WORK)
+
+        assert (entrants(2**40 - 1), entrants(2**40), entrants(2**44)) == (1, 2, 3)
+        # the textbook key and every key of 20-bit primes or fewer stay serial
+        assert entrants(1721 * 1801) == entrants(2**32) == entrants(2**40 - 1) == 1
+
+    # Three walks on three CPUs share them with whatever else runs there.
+    @pytest.mark.parametrize("running, walks", [(1, 3), (2, 2), (3, 1), (9, 1)])
+    def test_walks_only_on_idle_cpus(self, forks, monkeypatch, running, walks):
+        monkeypatch.setattr(_pool, "_running", lambda: running)
+        kp = generate_keypair(24, 13)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert len(forks) == walks - 1
+        assert_no_children(forks)
+
+    def test_running_counts_this_process(self, monkeypatch):
+        monkeypatch.undo()  # the real count
+        if os.path.exists("/proc/loadavg"):
+            assert _pool._running() >= 1
+
+        def unreadable(*args):
+            raise PermissionError("/proc/loadavg")
+
+        monkeypatch.setattr(_pool, "open", unreadable, raising=False)
+        assert _pool._running() == 1
+
+    def test_keys_below_the_line_never_fork(self, toy_keypair, no_fork):
+        report = crack_private_key(toy_keypair.public, POLLARD_RHO)
+        assert (report.p, report.q, report.d) == (1721, 1801, 997)
+        for bits in (16, 20):
+            kp = generate_keypair(bits, 3)
+            assert crack_private_key(kp.public, POLLARD_RHO).d == kp.private.d
+
+    # Whichever walk finds the factor, the report orders p < q.
+    def test_same_report_raced_or_not(self, fresh_pool, monkeypatch):
+        keys = [generate_keypair(24, seed).public for seed in range(1, 33)]
+
+        def reports(slices):
+            monkeypatch.setattr(_pool, "_slices", lambda work: slices)
+            return [replace(crack_private_key(pk, POLLARD_RHO, 30.0), elapsed=0.0)
+                    for pk in keys]
+
+        serial = reports(1)
+        assert reports(2) == serial
+        _rig_walks(monkeypatch, lambda walk, *args: walk(*args), caller_waits=True)
+        assert reports(2) == serial  # every factor found by the worker
+        assert_no_children()
+
+    @pytest.mark.parametrize("worker_walk, caller_waits, garbled", [
+        (_exit_mid_race, False, False),
+        (lambda walk, n, *args: 1, True, False),
+        (lambda walk, n, *args: n, True, False),
+        (lambda walk, n, *args: "3", True, False),
+        (lambda walk, n, *args: 3, True, True),
+    ], ids=["exits-mid-race", "one", "n", "not-an-int", "undecodable"])
+    def test_failed_worker_leaves_the_caller_walking(self, forks, monkeypatch,
+                                                     worker_walk, caller_waits, garbled):
+        if garbled:
+            parent, dump = os.getpid(), marshal.dump
+            monkeypatch.setattr(marshal, "dump", lambda value, file: dump(value, file)
+                                if os.getpid() == parent else file.write(b"not marshal"))
+        _rig_walks(monkeypatch, worker_walk, caller_waits)
+        kp = generate_keypair(24, 11)
+        for _ in range(2):  # each failed worker is dropped, then replaced
+            assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert len(forks) == 4
+        assert_no_children(forks)
+
+    def test_timeout_then_a_race_and_a_split(self, forks):
+        start = perf_counter()
+        with pytest.raises(CrackTimeout):
+            crack_private_key(generate_keypair(64, 31337).public, POLLARD_RHO, 0.2)
+        assert perf_counter() - start < 0.2 + 0.5
+        assert len(forks) == 2
+        assert (_pool._workers, _pool._owed, _pool._flag) == ([], [], None)  # killed
+        kp = generate_keypair(24, 5)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        raced = [pid for pid, _, _ in _pool._workers]
+        assert len(raced) == 2
+        # 63 Miller-Rabin rounds at 256 bits: a split over the same workers,
+        # once the race's owed replies are read and its flag cleared
+        assert is_probable_prime(2**256 - 189)
+        assert not is_probable_prime((2**127 - 1) * (2**129 - 1))
+        assert [pid for pid, _, _ in _pool._workers] == raced
+        assert (_pool._owed, _pool._flag[0]) == ([], 0)
+        assert len(forks) == 4
+        assert_no_children(forks)
+
+    def test_serial_crack_straight_after_a_race(self, forks, toy_keypair):
+        kp = generate_keypair(24, 7)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        report = crack_private_key(toy_keypair.public, POLLARD_RHO, 30.0)
+        assert (report.p, report.q, report.d) == (1721, 1801, 997)
+        for seed in range(1, 6):
+            kp = generate_keypair(16, seed)
+            assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert (_pool._owed, _pool._flag[0]) == ([], 0)
+        assert len(forks) == 2
+        assert_no_children(forks)
+
+    def test_a_winning_caller_stops_the_workers(self, forks, monkeypatch):
+        # The workers walk a 64-bit-prime key, for 20 s at most; the caller
+        # "finds" p at once, and the next race must not wait for their walks.
+        kp = generate_keypair(64, 31337, retain_provenance=True)
+        walk, p = cipher._rho_walk, kp.private.crt[0]
+
+        @functools.wraps(walk)
+        def rigged(n, deadline, k, lost):
+            return walk(n, deadline, k, lost) if k else p
+
+        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        assert crack_private_key(kp.public, POLLARD_RHO, 20.0).d == kp.private.d
+        raced = [pid for pid, _, _ in _pool._workers]
+        start = perf_counter()
+        assert crack_private_key(kp.public, POLLARD_RHO, 20.0).d == kp.private.d
+        assert perf_counter() - start < 1
+        assert [pid for pid, _, _ in _pool._workers] == raced
+        assert len(forks) == 2
+        assert_no_children(forks)
+
+    def test_error_in_the_callers_walk_kills_the_workers(self, forks, monkeypatch):
+        # The workers walk a 64-bit-prime key, for 20 s at most; the caller
+        # fails 0.1 s in and must not wait for them.
+        walk = cipher._rho_walk
+
+        def failing():
+            sleep(0.1)
+            raise RuntimeError("the caller's walk failed")
+
+        @functools.wraps(walk)
+        def rigged(n, deadline, k, lost):
+            return walk(n, deadline, k, failing if k == 0 else lost)
+
+        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        start = perf_counter()
+        with pytest.raises(RuntimeError, match="^the caller's walk failed$"):
+            crack_private_key(generate_keypair(64, 31337).public, POLLARD_RHO, 20.0)
+        assert perf_counter() - start < 5
+        assert len(forks) == 2
+        assert _pool._workers == []
+        assert_no_children(forks)
 
 
 def _least_prime_factors(limit):

@@ -8,6 +8,7 @@ from rsa_primer.codec import (
     CODEC_CHUNKED,
     CODEC_TOY_ASCII,
     BlockSeq,
+    block_seq,
     chunk_size_for,
     decimal_digits,
     decode,
@@ -22,6 +23,7 @@ from rsa_primer.codec import (
 from rsa_primer.errors import (
     BlockOutOfRange,
     BlockTooLarge,
+    InvalidArgument,
     KeyTooLarge,
     MalformedBlock,
     ModulusTooSmallForCodec,
@@ -220,3 +222,11 @@ class TestFormatting:
         assert decimal_digits(143) == 3
         bs = BlockSeq((19,), CODEC_TOY_ASCII, decimal_digits(143))
         assert format_cipher_blocks(bs) == "019"
+
+    # A minus sign is no digit: a negative modulus is refused, not counted.
+    @pytest.mark.parametrize("n", [-1, -1001, -(2**64)])
+    def test_negative_modulus_refused(self, n):
+        with pytest.raises(InvalidArgument, match="^n must be non-negative, got -"):
+            decimal_digits(n)
+        with pytest.raises(InvalidArgument, match="^n must be non-negative, got -"):
+            block_seq((1, 2), CODEC_TOY_ASCII, n)
