@@ -761,7 +761,7 @@ class TestRhoRace:
             assert crack_private_key(kp.public, POLLARD_RHO).d == kp.private.d
 
     # Whichever walk finds the factor, the report orders p < q.
-    def test_same_report_raced_or_not(self, fresh_pool, monkeypatch):
+    def test_same_report_raced_or_not(self, three_cpus, monkeypatch):
         keys = [generate_keypair(24, seed).public for seed in range(1, 33)]
 
         def reports(slices):
@@ -774,6 +774,17 @@ class TestRhoRace:
         _rig_walks(monkeypatch, lambda walk, *args: walk(*args), caller_waits=True)
         assert reports(2) == serial  # every factor found by the worker
         assert_no_children()
+
+    # More walks than cores: every reply owed or read lands with its race,
+    # so no worker is ever dropped for a reply out of turn.
+    def test_six_walks_on_fewer_cores(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        keys = [generate_keypair(24, seed) for seed in range(40, 72)]
+        for kp in keys:
+            assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert len(forks) == 5
+        assert [pid for pid, _, _ in _pool._workers] == forks
+        assert_no_children(forks)
 
     @pytest.mark.parametrize("worker_walk, caller_waits, garbled", [
         (_exit_mid_race, False, False),
@@ -796,9 +807,10 @@ class TestRhoRace:
         assert_no_children(forks)
 
     def test_timeout_then_a_race_and_a_split(self, forks):
+        pk = generate_keypair(64, 31337).public
         start = perf_counter()
         with pytest.raises(CrackTimeout):
-            crack_private_key(generate_keypair(64, 31337).public, POLLARD_RHO, 0.2)
+            crack_private_key(pk, POLLARD_RHO, 0.2)
         assert perf_counter() - start < 0.2 + 0.5
         assert len(forks) == 2
         assert (_pool._workers, _pool._owed, _pool._flag) == ([], [], None)  # killed
@@ -861,9 +873,10 @@ class TestRhoRace:
             return walk(n, deadline, k, failing if k == 0 else lost)
 
         monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        pk = generate_keypair(64, 31337).public
         start = perf_counter()
         with pytest.raises(RuntimeError, match="^the caller's walk failed$"):
-            crack_private_key(generate_keypair(64, 31337).public, POLLARD_RHO, 20.0)
+            crack_private_key(pk, POLLARD_RHO, 20.0)
         assert perf_counter() - start < 5
         assert len(forks) == 2
         assert _pool._workers == []
