@@ -732,6 +732,7 @@ class TestRhoRace:
         assert (entrants(2**40 - 1), entrants(2**40), entrants(2**44)) == (1, 2, 3)
         # the textbook key and every key of 20-bit primes or fewer stay serial
         assert entrants(1721 * 1801) == entrants(2**32) == entrants(2**40 - 1) == 1
+        assert_no_children()
 
     # Three walks on three CPUs share them with whatever else runs there.
     @pytest.mark.parametrize("running, walks", [(1, 3), (2, 2), (3, 1), (9, 1)])
@@ -752,6 +753,7 @@ class TestRhoRace:
 
         monkeypatch.setattr(_pool, "open", unreadable, raising=False)
         assert _pool._running() == 1
+        assert_no_children()
 
     def test_keys_below_the_line_never_fork(self, toy_keypair, no_fork):
         report = crack_private_key(toy_keypair.public, POLLARD_RHO)
@@ -759,6 +761,7 @@ class TestRhoRace:
         for bits in (16, 20):
             kp = generate_keypair(bits, 3)
             assert crack_private_key(kp.public, POLLARD_RHO).d == kp.private.d
+        assert_no_children()
 
     # Whichever walk finds the factor, the report orders p < q.
     def test_same_report_raced_or_not(self, three_cpus, monkeypatch):
