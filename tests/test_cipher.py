@@ -1,4 +1,5 @@
 import functools
+import io
 import marshal
 import math
 import os
@@ -427,7 +428,8 @@ class TestFanOut:
         lambda results, file: (file.write(marshal.dumps(results)[:-1]), file.flush(), os._exit(0)),
         lambda results, file: file.write(b"not marshal data"),
         lambda results, file: file.write(marshal.dumps(results[:-1])),
-    ], ids=["exits-nonzero", "short", "undecodable", "too-few"])
+        lambda results, file: file.write(marshal.dumps(marshal.dumps(marshal.loads(results)[:-1]))),
+    ], ids=["exits-nonzero", "short", "undecodable", "too-few", "one-value-short"])
     def test_failed_child_slice_is_recomputed(self, wide, forks, monkeypatch, send):
         kp, data, encrypted = wide
         parent, dump = os.getpid(), marshal.dump
@@ -526,6 +528,94 @@ class TestFanOut:
         assert decrypt_message(encrypted, kp.private) == data
         assert len(forks) == 3  # one replacement
         assert len(_pool._workers) == 2
+        assert_no_children(forks)
+
+
+class _CountingReader:
+    """A pipe's reader that counts the calls made on it."""
+
+    def __init__(self, file):
+        self.file, self.calls = file, 0
+
+    def read(self, *size):
+        self.calls += 1
+        return self.file.read(*size)
+
+    def readinto(self, buffer):
+        self.calls += 1
+        return self.file.readinto(buffer)
+
+    def close(self):
+        self.file.close()
+
+
+class TestHandoff:
+    """Each job and reply crosses its pipe as marshal strings, each read whole."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+    def test_a_reply_is_read_in_at_most_4_calls(self, wide, forks, monkeypatch):
+        # marshal.load reads an int from a file one 15-bit digit at a time:
+        # this reply of 520 ints of 512 bits would take 19,061 calls.
+        kp, data, _ = wide
+        monkeypatch.setattr(_pool, "_slices", lambda work: 2)
+        key = PublicKey(65537, kp.public.n)
+        plain = codec.encode(data, key.n, CODEC_CHUNKED).blocks
+        assert len(set(plain)) == 1041  # 521 values for the caller, 520 for the worker
+        expected = tuple(pow(m, 65537, key.n) for m in plain)
+        assert cipher._map_distinct(plain, key) == expected  # forks the worker
+        pid, jobs, results = _pool._workers[0]
+        reader = _CountingReader(results)
+        _pool._workers[0] = pid, jobs, reader
+        assert cipher._map_distinct(plain, key) == expected
+        assert 0 < reader.calls <= 4
+        assert [pid for pid, _, _ in _pool._workers] == forks
+        assert_no_children(forks)
+
+    @pytest.mark.parametrize("extra", [0, 1, 999])
+    def test_a_message_past_the_cut_goes_as_several_strings(self, monkeypatch, extra):
+        monkeypatch.setattr(_pool, "_STRING_CUT", 1000)
+        message = bytes(range(256)) * 16
+        message = message[: 3000 + extra - len(marshal.dumps(message[:0]))]
+        file = io.BytesIO()
+        _pool._write(file, message)
+        file.seek(0)
+        strings = []
+        while file.tell() < len(file.getvalue()):
+            strings.append(marshal.load(file))
+        assert list(map(len, strings)) == [1000, 1000, 1000, extra]  # the last one short
+        file.seek(0)
+        assert _pool._read(file) == message
+        assert file.tell() == len(file.getvalue())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+    def test_messages_past_the_cut_cross_whole(self, wide, forks, monkeypatch):
+        kp, data, encrypted = wide
+        monkeypatch.setattr(_pool, "_STRING_CUT", 4096)  # before any worker forks
+        parent, dump, sent = os.getpid(), marshal.dump, []
+
+        def sending(value, file):
+            if os.getpid() == parent:
+                sent.append(len(value))
+            return dump(value, file)
+
+        monkeypatch.setattr(marshal, "dump", sending)
+        assert decrypt_message(encrypted, kp.private) == data
+        assert len(forks) == 2
+        assert sent.count(4096) >= 2 * 5  # each job is 24 KB or more
+        assert len(_pool._workers) == 2  # no reply failed
+        assert_no_children(forks)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+    def test_a_job_and_reply_past_a_pipe_buffer_cross_in_order(self, forks, monkeypatch):
+        monkeypatch.setattr(_pool, "_slices", lambda work: 2)
+        key = PublicKey(3, 4294967291 * 4294967279)  # two 32-bit primes
+        blocks = tuple(range(2**63, 2**63 + 200_000))
+        expected = tuple(pow(m, 3, key.n) for m in blocks)
+        for half in blocks[100_000:], expected[100_000:]:  # the worker's job and reply
+            assert len(marshal.dumps(half)) > 2**20
+        assert cipher._map_distinct(blocks, key) == expected
+        assert len(forks) == 1
+        assert len(_pool._workers) == 1  # the reply passed its length check
         assert_no_children(forks)
 
 
