@@ -1,8 +1,9 @@
 """Splitting work across processes, or racing it: workers forked once per
 process (about 1 ms each) and kept for every split and race after.  Each job
-and each reply crosses its pipe as one marshal string, read whole.  A worker
-leaves on EOF, a forked child starts with none, and an exit handler reaps
-them."""
+and each reply crosses its pipe as one marshal string, read whole, and every
+split and race reads the reply to each job it sends before it returns, so
+no job is in flight between calls.  A worker leaves on EOF, a forked child
+starts with none, and an exit handler reaps them."""
 
 import atexit
 import marshal
@@ -23,8 +24,7 @@ _FAN_OUT_WORK = 2**20
 _STRING_CUT = 2**31 - 1
 
 _workers: list = []  # (pid, its job pipe, its result pipe) per live worker
-_owed: list = []  # the workers whose reply to a race is still unread
-_flag = None  # one byte shared with the workers, nonzero once a race is won
+_flag = None  # one byte shared with the workers, nonzero from a win to the race's end
 
 
 def _cpus() -> int:
@@ -58,7 +58,6 @@ def split_map(fn, values, args: tuple, work: int) -> list:
     # marshal string, and so does its reply).  A failed worker's part is
     # redone here; if this raises, every worker is killed and stopped.
     try:
-        _settle()
         workers = _hire(min(_slices(work), max(1, len(values))))
         size = -(-len(values) // (len(workers) + 1))
         parts = [values[i * size : (i + 1) * size] for i in range(len(workers) + 1)]
@@ -82,34 +81,34 @@ def race(fn, args: tuple, work: int, valid):
     # and then and returns None once it is true.  A worker that wins sets the
     # flag; at its next poll the caller reads the workers' replies, and lost()
     # is true only once one passes valid: a worker that died or sent anything
-    # else is dropped, and the caller walks on alone.  A caller that wins sets
-    # the flag too and returns at once; the workers' replies stay owed until
-    # the next race or split.  If this raises, every worker is killed.
+    # else is dropped, and the caller walks on alone.  Once the caller's own
+    # call returns, it sets the flag, reads every reply still unread (each
+    # entrant stops at its next poll) and clears the flag, so that the race
+    # leaves no job in flight.  If this raises, every worker is killed.
     try:
-        _settle()  # first: a worker still stopping would count as running
         slices = _slices(work)
         if slices > 1:
             slices = max(1, min(slices, _cpus() - _running() + 1))
         entrants = _hire(slices)
         for k, worker in enumerate(entrants, 1):
             _send(worker, __name__, "_enter", fn.__module__, fn.__name__, *args, k)
-        _owed.extend(entrants)
-        won = []
+        unread, won = list(entrants), []
 
         def lost() -> bool:
-            while _owed and _flag[0]:  # each entrant stops at its next poll
-                done = _reply(_owed.pop(0), lambda done: done is None or valid(done))
+            while unread and _flag[0]:  # each entrant stops at its next poll
+                done = _reply(unread.pop(0), lambda done: done is None or valid(done))
                 if done is not None:
                     won.append(done)
                     return True
             return False
 
         result = fn(*args, 0, lost)
-        if result is None:
-            return won[0]
-        if _owed:
+        if entrants:
             _flag[0] = 1
-        return result
+            while unread:
+                _reply(unread.pop(), lambda done: True)
+            _flag[0] = 0
+        return won[0] if result is None else result
     except BaseException:
         _abort()
         raise
@@ -122,16 +121,6 @@ def _enter(module: str, name: str, *args):
     if result is not None:
         flag[0] = 1
     return result
-
-
-def _settle() -> None:
-    # Read the replies a race left owed, so that each worker has no job in
-    # flight; each entrant stops at its next poll of the flag, which is
-    # cleared only then.
-    while _owed:
-        _reply(_owed.pop(), lambda done: True)
-    if _flag is not None:
-        _flag[0] = 0
 
 
 def _hire(slices: int) -> list:
@@ -233,7 +222,6 @@ def stop() -> None:
     # Every worker dropped, and the flag with them: a forked child's own
     # races must not touch its parent's.
     global _flag
-    _owed.clear()
     while _workers:
         _drop(_workers[-1])
     _flag = None

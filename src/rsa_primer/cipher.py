@@ -282,7 +282,7 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
     # n every cycle would close with gcd = n and c would grow forever, hence
     # the check.
     if n < 4 or is_probable_prime(n):
-        raise NoFactor(f"{n} is not composite, so rho has no factor to find")
+        raise NoFactor(f"{_decimal(n)} is not composite, so rho has no factor to find")
     if n % 2 == 0:
         return 2
     return race(_rho_walk, (n, deadline), math.isqrt(math.isqrt(n)) * _RHO_STEP_WORK,
@@ -379,7 +379,7 @@ def crack_private_key(
     start = perf_counter()
     deadline = start + timeout if timeout is not None else None
     if n < 6 or is_probable_prime(n):
-        raise NotSemiprime(f"{n} is not a product of two distinct primes")
+        raise NotSemiprime(f"{_decimal(n)} is not a product of two distinct primes")
     try:
         f = _FACTOR_METHODS[method](n, deadline)
     except CrackTimeout as exc:
@@ -389,7 +389,7 @@ def crack_private_key(
         raise
     p, q = min(f, n // f), max(f, n // f)
     if p * q != n or p == q or not (is_probable_prime(p) and is_probable_prime(q)):
-        raise NotSemiprime(f"{n} is not a product of two distinct primes")
+        raise NotSemiprime(f"{_decimal(n)} is not a product of two distinct primes")
     phi = (p - 1) * (q - 1)
     d = mod_inverse(pk.e, phi)
     return CrackReport(p, q, phi, d, perf_counter() - start, method)

@@ -387,7 +387,7 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     :class:`BitsTooSmall`, one too wide for ``str()`` :class:`KeyTooLarge`.
     """
     if bits < 4:
-        raise BitsTooSmall(f"prime width must be at least 4 bits, got {bits}")
+        raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
     _require_printable(bits, what="prime")
     low = 1 << (bits - 1)
     high = (1 << bits) - 1

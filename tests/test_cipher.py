@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import select
 import signal
 import threading
 from time import perf_counter, sleep
@@ -715,6 +716,14 @@ class TestCrackPrivateKey:
         with pytest.raises(KeyTooLarge, match="^a 14617-bit modulus "):
             crack_private_key(PublicKey(3, 10**4400 + 1), method)
 
+    # _require_printable lets a negative n through; its message writes n by
+    # its width, as str() cannot write it.
+    @pytest.mark.parametrize("method", METHODS)
+    def test_negative_modulus_past_digit_limit_refused(self, low_digit_limit, method):
+        with pytest.raises(NotSemiprime, match="^<negative 16610-bit number> is not a "
+                                               "product of two distinct primes$"):
+            crack_private_key(PublicKey(3, -(10**5000)), method)
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("bits", [12, 20, 28])
     def test_agrees_with_cryptography_recovery(self, bits, method):
@@ -736,6 +745,11 @@ class TestCrackPrivateKey:
     def test_pollard_rho_needs_a_composite(self, n):
         with pytest.raises(NoFactor):
             cipher._pollard_rho_factor(n, perf_counter() + 1.0)
+
+    def test_pollard_rho_writes_an_unwritable_n_by_its_width(self, low_digit_limit):
+        with pytest.raises(NoFactor, match="^<negative 16610-bit number> is not composite, "
+                                           "so rho has no factor to find$"):
+            cipher._pollard_rho_factor(-(10**5000), None)
 
     def test_pollard_rho_splits_every_small_composite(self):
         for n in range(4, 3000):
@@ -806,6 +820,13 @@ def _exit_mid_race(walk, n, deadline, k, lost):
     return walk(n, deadline, k, lambda: os._exit(1))
 
 
+def _walk_until_lost(walk, n, deadline, k, lost):
+    end = perf_counter() + 10
+    while not lost():
+        assert perf_counter() < end, "the caller never set the flag"
+        sleep(0.001)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
 class TestRhoRace:
     """A long enough rho walk races one walk per idle CPU; the first factor
@@ -868,7 +889,7 @@ class TestRhoRace:
         assert reports(2) == serial  # every factor found by the worker
         assert_no_children()
 
-    # More walks than cores: every reply owed or read lands with its race,
+    # More walks than cores: each race reads every reply before it returns,
     # so no worker is ever dropped for a reply out of turn.
     def test_six_walks_on_fewer_cores(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
@@ -877,6 +898,23 @@ class TestRhoRace:
             assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         assert len(forks) == 5
         assert [pid for pid, _, _ in _pool._workers] == forks
+        assert_no_children(forks)
+
+    # Whichever walk wins, the race has read every worker's reply and
+    # cleared the flag by the time it returns: nothing waits in a pipe.
+    @pytest.mark.parametrize("worker_walk, caller_waits", [
+        (_walk_until_lost, False),
+        (lambda walk, *args: walk(*args), True),
+    ], ids=["caller-wins", "worker-wins"])
+    def test_no_job_outlives_a_race(self, forks, monkeypatch, worker_walk, caller_waits):
+        _rig_walks(monkeypatch, worker_walk, caller_waits)
+        kp = generate_keypair(24, 5)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        sleep(0.2)
+        assert select.select([results for _, _, results in _pool._workers], [], [], 0)[0] == []
+        assert _pool._flag[0] == 0
+        assert [pid for pid, _, _ in _pool._workers] == forks
+        assert len(forks) == 2
         assert_no_children(forks)
 
     @pytest.mark.parametrize("worker_walk, caller_waits, garbled", [
@@ -906,17 +944,17 @@ class TestRhoRace:
             crack_private_key(pk, POLLARD_RHO, 0.2)
         assert perf_counter() - start < 0.2 + 0.5
         assert len(forks) == 2
-        assert (_pool._workers, _pool._owed, _pool._flag) == ([], [], None)  # killed
+        assert (_pool._workers, _pool._flag) == ([], None)  # killed
         kp = generate_keypair(24, 5)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         raced = [pid for pid, _, _ in _pool._workers]
         assert len(raced) == 2
         # 63 Miller-Rabin rounds at 256 bits: a split over the same workers,
-        # once the race's owed replies are read and its flag cleared
+        # which the race left with every reply read and its flag cleared
         assert is_probable_prime(2**256 - 189)
         assert not is_probable_prime((2**127 - 1) * (2**129 - 1))
         assert [pid for pid, _, _ in _pool._workers] == raced
-        assert (_pool._owed, _pool._flag[0]) == ([], 0)
+        assert _pool._flag[0] == 0
         assert len(forks) == 4
         assert_no_children(forks)
 
@@ -928,7 +966,7 @@ class TestRhoRace:
         for seed in range(1, 6):
             kp = generate_keypair(16, seed)
             assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
-        assert (_pool._owed, _pool._flag[0]) == ([], 0)
+        assert _pool._flag[0] == 0
         assert len(forks) == 2
         assert_no_children(forks)
 

@@ -54,8 +54,8 @@ from rsa_primer.number_theory import (
 )
 
 # The edges of every rule: signs, 0 and 1, the least prime width, the ends
-# of a 64-bit seed, and a number past any float.
-EDGES = (-(2**64), -1, 0, 1, 2, 3, 4, 2**64 - 1, 2**64, 10**400)
+# of a 64-bit seed, a number past any float, and one str() cannot write.
+EDGES = (-(10**5000), -(2**64), -1, 0, 1, 2, 3, 4, 2**64 - 1, 2**64, 10**400)
 INTS = st.one_of(st.sampled_from(EDGES), st.integers(-100, 100))
 
 TOY = keypair_from_primes(1721, 1801, 1012333, retain_provenance=True)
@@ -148,8 +148,10 @@ HUGE = 10**5000
     (lambda: chunk_size_for(-HUGE), "negative 16610"),
     (lambda: encode_toy_ascii(b"", -HUGE), "negative 16610"),
     (lambda: gen_prime(HUGE, Rng64(1)), "16610"),
+    (lambda: gen_prime(-HUGE, Rng64(1)), "negative 16610"),
+    (lambda: generate_keypair(-HUGE, 1), "negative 16610"),
 ], ids=["natural", "seed", "inverse", "p", "q", "totient", "factor", "chunked",
-        "toy-ascii", "prime-width"])
+        "toy-ascii", "prime-width", "negative-prime-width", "negative-key-width"])
 def test_messages_write_an_unwritable_number_as_its_width(low_digit_limit, call, width):
     with pytest.raises(Error, match=f"<{width}-bit number>"):
         call()
