@@ -1,9 +1,28 @@
-"""Splitting work across processes, or racing it: workers forked once per
-process (about 1 ms each) and kept for every split and race after.  Each job
-and each reply crosses its pipe as one marshal string, read whole, and every
-split and race reads the reply to each job it sends before it returns, so
-no job is in flight between calls.  A worker leaves on EOF, a forked child
-starts with none, and an exit handler reaps them."""
+"""Splitting work across processes, or racing it.
+
+``split_map`` cuts work (values times the bit lengths of the modulus and the
+exponent) into contiguous slices, one per _FAN_OUT_WORK and at most one per
+CPU the process may run on, so less than twice that stays whole.  The
+caller runs the first slice and a worker each other one.  Less work, a
+platform without fork, or a caller that runs other threads gets one slice,
+run in the caller by the same code.  ``race`` runs one function in the
+caller and in up to one worker per further CPU that nothing else runs on,
+by Linux's count of running tasks in /proc/loadavg (every CPU where that
+cannot be read): two walks sharing one CPU lose to one, as racing every
+28-bit crack beside one busy process on 2 CPUs took 1.262 times as long as
+walking once (BENCH_rho_race.json).  Each entrant polls a one-byte flag in
+an anonymous shared mmap, made before the first fork; the first to find a
+result sets it, and the others stop at their next poll.
+
+Workers are forked at the first split or race that needs them and kept for
+every one after.  Each job and each reply crosses its pipe as one marshal
+string, read whole, and every split and race reads the reply to each job
+it sends before it returns, so no job is in flight between calls.  A worker
+that dies or replies with anything else is dropped: a split redoes its
+slice in the caller, a race goes on without it.  An exception in the caller
+kills every worker at once.  A worker leaves on EOF, a forked child starts
+with none, and an exit handler reaps them.
+"""
 
 import atexit
 import marshal
@@ -12,11 +31,11 @@ import sys
 import threading
 from contextlib import suppress
 
-# Work (values times the bit lengths of the modulus and the exponent) of at
-# least twice this much is split.  On a shared 2-vCPU x86 VM under CPython
-# 3.11 that is 16 Miller-Rabin rounds at 256 bits (3.2 ms) or 1.8 ms of CRT
-# pow at 512 bits, against a 1 ms fork once and a worker round trip of 0.5-0.8
-# ms for a job of 1041 blocks of 512 bits, sent and echoed back.
+# The work of one slice: about 16 Miller-Rabin rounds at 256 bits
+# (16 * 256 * 256).  A slice must outweigh a worker's fork, about 1 ms once
+# (CHANGES.md line 32), and a round trip of 0.5-0.8 ms for a job of 1041
+# blocks of 512 bits, sent and echoed back (CHANGES.md line 45), each on a
+# shared 2-vCPU x86 VM under CPython 3.11.
 _FAN_OUT_WORK = 2**20
 
 # The most bytes one marshal string holds; a longer message is cut into
@@ -53,10 +72,7 @@ def _running() -> int:
 
 def split_map(fn, values, args: tuple, work: int) -> list:
     # fn(part, *args) over _slices(work) contiguous parts of values, at most
-    # one per value, joined: the caller runs the first, a worker each other
-    # one, finding fn by module and name (its part and args cross as one
-    # marshal string, and so does its reply).  A failed worker's part is
-    # redone here; if this raises, every worker is killed and stopped.
+    # one per value, joined in order.  A worker finds fn by module and name.
     try:
         workers = _hire(min(_slices(work), max(1, len(values))))
         size = -(-len(values) // (len(workers) + 1))
@@ -76,15 +92,12 @@ def split_map(fn, values, args: tuple, work: int) -> list:
 def race(fn, args: tuple, work: int, valid):
     # The first result of fn(*args, k, lost), run by the caller (k = 0) and
     # by a worker for each k = 1, 2, ... up to _slices(work) - 1 and to the
-    # CPUs nothing runs on (two walks sharing one lose to one walk), finding
-    # fn by module and name (args go by marshal).  Each entrant calls lost() now
-    # and then and returns None once it is true.  A worker that wins sets the
-    # flag; at its next poll the caller reads the workers' replies, and lost()
-    # is true only once one passes valid: a worker that died or sent anything
-    # else is dropped, and the caller walks on alone.  Once the caller's own
-    # call returns, it sets the flag, reads every reply still unread (each
-    # entrant stops at its next poll) and clears the flag, so that the race
-    # leaves no job in flight.  If this raises, every worker is killed.
+    # idle CPUs.  A worker finds fn by module and name.  Each entrant calls
+    # lost() now and then and returns None once it is true.  A worker that
+    # wins sets the flag; at its next poll the caller reads the workers'
+    # replies, and lost() is true only once one passes valid.  Once the
+    # caller's own call returns, it sets the flag, reads every reply still
+    # unread and clears the flag.
     try:
         slices = _slices(work)
         if slices > 1:
@@ -134,7 +147,8 @@ def _hire(slices: int) -> list:
 def _write(file, message) -> None:
     # message as marshal strings, the last shorter than _STRING_CUT: one in
     # practice.  marshal.load reads a string whole, but an int from a file
-    # one 15-bit digit at a time (19,113 reads for 520 random 512-bit ints).
+    # one 15-bit digit at a time (19,061 reads for a reply of 520 512-bit
+    # ints; CHANGES.md line 45).
     data = marshal.dumps(message)
     for start in range(0, len(data) + 1, _STRING_CUT):
         marshal.dump(data[start : start + _STRING_CUT], file)
@@ -166,7 +180,8 @@ def _reply(worker: tuple, ok):
 
 def _abort() -> None:
     # No worker is left to finish a job nobody reads.  9 is SIGKILL on every
-    # POSIX system; importing signal would cost each process 1.6 ms.
+    # POSIX system; importing signal would cost each process 1.6 ms
+    # (CHANGES.md line 36).
     for pid, _, _ in _workers:
         with suppress(OSError):
             os.kill(pid, 9)

@@ -1,37 +1,28 @@
 """The RSA transform over block sequences, plus the key-recovery attack.
 
 Encryption is C = M^e mod n, decryption M = C^d mod n, applied blockwise.
-When the private key keeps p and q, decryption works modulo each prime and
-recombines by the Chinese remainder theorem (RFC 8017, section 5.1.2).
 For n = p*q squarefree the round trip M^(e*d) = M mod n holds for every
 block value in [0, n), including multiples of p and q, even though the
 usual Euler-theorem derivation only covers gcd(M, n) = 1; the test suite
-exercises those residues deliberately.  A message is transformed once per
-distinct block value.  When those values times the bit lengths of n and
-the exponent come to at least twice 2^20 (a 64 KiB message under a
-512-bit key, but no command-line benchmark input), they are split into
-contiguous slices across forked workers by ``_pool.split_map``;
-the output bytes are the same either way.
+exercises those residues deliberately.  Raw RSA is deterministic, so a
+message is transformed once per distinct block value, and
+``_pool.split_map`` splits those values across the worker pool when they
+are enough work; the output bytes are the same either way.
 
 The attack half recovers a private key from a public one by factoring n,
-either by trial division (didactic, obviously correct: the primes below
-2^20 from a table built on first use, screened 128 at a time by one gcd
-with their product, then 6k +- 1) or Pollard rho with Brent cycle
-detection (scales far enough to make timing curves interesting; it
-multiplies 128 differences together per gcd, reducing the product once
-per four steps).  From n >= 2^40 on, where a walk takes about n^(1/4)
-steps, rho races one walk per idle CPU through ``_pool.race``: the caller's is
-the walk a serial run takes (x -> x^2 + 1 from 2), each worker's another
-polynomial, and the first factor found stops the rest within 1024 steps.
-Independent walks on m CPUs find a factor up to sqrt(m) times sooner
-(Brent 1990; van Oorschot and Wiener 1999).  The report is the same
-whichever walk wins; only ``elapsed`` differs.  Smaller keys, those of the
-command-line benchmark, the demo and the worked example among them, walk
-once, in the caller.  Both methods honor a wall-clock budget so the
-hardness story can be told with data: toy keys fall instantly,
-64-bit-per-prime keys outlive any reasonable timeout.  Trial division
-reads the clock only on the wheel; the table phase before it is bounded
-and runs uninterrupted.
+either by trial division (:func:`smallest_factor`: didactic, obviously
+correct) or Pollard rho with Brent cycle detection (scales far enough to
+make timing curves interesting).  A rho walk takes about n^(1/4) steps,
+so from n >= 2^40 on rho races one walk per idle CPU through
+``_pool.race``: the caller's is the walk a serial run takes
+(x -> x^2 + 1 from 2), each worker's another polynomial, and the first
+factor found wins.  Independent walks on m CPUs find a factor up to
+sqrt(m) times sooner (Brent 1990; van Oorschot and Wiener 1999).  The
+report is the same whichever walk wins; only ``elapsed`` differs.  Smaller
+keys, those of the command-line benchmark, the demo and the worked example
+among them, walk once, in the caller.  Both methods honor a wall-clock
+budget so the hardness story can be told with data: toy keys fall
+instantly, 64-bit-per-prime keys outlive any reasonable timeout.
 """
 
 from __future__ import annotations
@@ -89,11 +80,7 @@ def _check_exponent(x: int) -> None:
 
 
 def encrypt_block(m: int, pk: PublicKey) -> int:
-    """C = M^e mod n for a single block 0 <= M < n, under e >= 1.
-
-    Computed by the builtin ``pow``; ``number_theory.mod_pow`` is the
-    readable square-and-multiply version of the same thing.
-    """
+    """C = M^e mod n for a single block 0 <= M < n, under e >= 1."""
     _check_exponent(pk.e)
     _check_block(m, pk.n)
     return pow(m, pk.e, pk.n)
@@ -104,11 +91,15 @@ def decrypt_block(c: int, sk: PrivateKey) -> int:
 
     When the key keeps p and q (generated or parsed with provenance, as
     ``keygen --retain-pq`` writes it), M is found by the Chinese remainder
-    theorem: m_p = C^dP mod p and m_q = C^dQ mod q, whose exponents and
-    moduli are half as wide as d and n, then
-    M = m_q + q * ((m_p - m_q) * qInv mod p).  That is several times less
-    work than C^d mod n, which is what a key without p and q computes.
-    Both ways use the builtin ``pow``.
+    theorem (RFC 8017, section 5.1.2): m_p = C^dP mod p and
+    m_q = C^dQ mod q, then M = m_q + q * ((m_p - m_q) * qInv mod p).  A key
+    without p and q computes C^d mod n.  CRT is less work when d is about
+    as wide as n, as a drawn e makes it: then each of its two ``pow`` calls
+    has a modulus and an exponent about half as wide (Quisquater and
+    Couvreur, Electronics Letters 18(21), 1982).  For a d below p and q, as
+    the textbook key's d = dP = dQ = 997, the exponents do not shrink, so
+    each of CRT's two ``pow`` calls takes as many steps as the one of
+    C^d mod n, and CRT is the slower (CHANGES.md line 49).
     """
     _check_exponent(sk.d)
     _check_block(c, sk.n)
@@ -144,13 +135,7 @@ def _map_distinct(blocks: tuple[int, ...], key: PublicKey | PrivateKey) -> tuple
 
 
 def encrypt_message(data: bytes, pk: PublicKey, codec_id: str) -> BlockSeq:
-    """Encode ``data`` with the chosen codec, then encrypt every block.
-
-    Textbook RSA is deterministic: equal plaintext blocks give equal cipher
-    blocks, which is what padding exists to prevent.  Under toy-ascii that
-    makes the cipher a substitution on characters, and it lets this
-    function compute ``encrypt_block`` once per distinct block value.
-    """
+    """Encode ``data`` with the chosen codec, then encrypt every block."""
     plain = codec.encode(data, pk.n, codec_id)
     return replace(plain, blocks=_map_distinct(plain.blocks, pk))
 
@@ -158,10 +143,10 @@ def encrypt_message(data: bytes, pk: PublicKey, codec_id: str) -> BlockSeq:
 def decrypt_message(bs: BlockSeq, sk: PrivateKey, codec_id: str | None = None) -> bytes:
     """Decrypt every block, then decode; inverse of :func:`encrypt_message`.
 
-    As in encryption, ``decrypt_block`` runs once per distinct block value,
-    in order of first occurrence, so the first block at or above n (or
-    below 0) is the one the error names.  The sequence already names its
-    codec; passing ``codec_id`` merely asserts it matches.
+    As in encryption, the distinct block values are checked in order of
+    first occurrence, so the first block at or above n (or below 0) is the
+    one the error names.  The sequence already names its codec; passing
+    ``codec_id`` merely asserts it matches.
     """
     if codec_id is not None and codec_id != bs.codec_id:
         raise InvalidArgument(f"sequence carries codec {bs.codec_id!r}, not {codec_id!r}")
@@ -233,16 +218,14 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     for a larger isqrt(n), by f and f + 2 for f = 2^20 + 1, 2^20 + 7, ...:
     after 2 and 3 only f = 6k +- 1 can be a least prime factor (Knuth,
     TAOCP Vol. 2, 4.5.4, Algorithm A needs any divisor sequence that
-    holds every prime up to isqrt(n)).  The primes come from a table built
-    on first need and kept for the process, with the product of each run
-    of 128 of them: one gcd of n with that product tests the whole run,
-    and only the first run whose gcd is not 1 is divided through, in
-    order, up to the first prime that divides n.  Raises
-    :class:`CrackTimeout` once ``deadline`` (a ``perf_counter`` reading)
-    has passed.  The clock is read once per 8192 wheel divisions, never
-    in the table phase: like the table build, the walk over the table is
-    bounded (at most 641 gcds) and is not interrupted.
-    An n below 2 has no prime factor and raises :class:`NoFactor`.
+    holds every prime up to isqrt(n)).  The primes come from a table kept
+    for the process, one gcd of n per run of them: only the first run whose
+    gcd is not 1 is divided through, in order, up to the first prime that
+    divides n.  Raises :class:`CrackTimeout` once ``deadline`` (a
+    ``perf_counter`` reading) has passed.  The clock is read once per 8192
+    wheel divisions, never in the table phase: like the table build, the
+    walk over the table's runs is bounded and is not interrupted.  An n
+    below 2 has no prime factor and raises :class:`NoFactor`.
     """
     if n < 2:
         raise NoFactor(f"{_decimal(n)} has no prime factor")
@@ -269,10 +252,11 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
 
 _RHO_GROUP = 4  # steps per reduction of q; no abs(x - y), as gcd(-a, n) = gcd(a, n)
 _RHO_POLL_EVERY = 1024  # single steps between reads of the clock and of lost()
-# Rho walks about n^(1/4) steps, each taken as this much work by _pool._slices,
-# so walks race from n >= 2^40 on.  Raced over serial mean time, two walks
-# against one on 200-400 keys a width (a shared 2-vCPU x86 VM, CPython 3.11):
-# 1.23 at 14-bit primes, 0.98 at 16, 0.92 at 18, 0.88 at 20, 0.77 at 28.
+# The work of one rho step as _pool._slices weighs it, which sets the race
+# line of the module docstring.  Raced over serial mean time, two walks
+# against one on 200-400 keys a width (a shared 2-vCPU x86 VM, CPython 3.11;
+# CHANGES.md line 43): 1.23 at 14-bit primes, 0.98 at 16, 0.92 at 18, 0.88
+# at 20, 0.77 at 28.
 _RHO_STEP_WORK = 2**11
 
 
@@ -293,7 +277,8 @@ def _rho_walk(n: int, deadline: float | None, walk: int,
               lost: Callable[[], bool]) -> int | None:
     # Brent's cycle finding on x -> x^2 + c mod n from y = 2, c = 2 * walk + 1
     # (c + 1 after a cycle with no factor).  The clock and lost() are read
-    # once per 1024 single steps and per gcd batch; None once lost() is true.
+    # once per _RHO_POLL_EVERY single steps and per gcd batch; None once
+    # lost() is true.
     # Within a 128-step gcd batch q takes the differences x - y four at a
     # time and is reduced mod n once per four; q stays +- the product of the
     # |x - y| mod n, so every gcd is the one a reduction per step gives.
@@ -360,14 +345,12 @@ def crack_private_key(
 
     Once n = p*q is known, phi(n) = (p-1)(q-1) follows and d is just the
     inverse of e modulo phi(n), which is exactly why factoring must be hard
-    for RSA to stand.  Pollard rho on an n of 2^40 or more races one walk
-    per idle CPU and takes the first factor; ``elapsed`` is then the race's
-    wall time, and every other field is what one walk gives.  Raises
-    :class:`CrackTimeout`, its message led by
-    the seconds spent, when ``timeout`` seconds pass without a factor,
-    :class:`InvalidArgument` for a method not in :data:`METHODS` or a
-    ``timeout`` neither ``None`` nor positive and at most the largest float,
-    :class:`KeyTooLarge` when no key file could hold n,
+    for RSA to stand.  When Pollard rho races (see the module docstring),
+    ``elapsed`` is the race's wall time, and every other field is what one
+    walk gives.  Raises :class:`CrackTimeout` when ``timeout`` seconds
+    pass without a factor, :class:`InvalidArgument` for a method not in
+    :data:`METHODS` or a ``timeout`` neither ``None`` nor positive and at
+    most the largest float, :class:`KeyTooLarge` when no key file could hold n,
     :class:`NotSemiprime` when n is not a product of two distinct primes,
     and :class:`NotCoprime` when e has no inverse modulo phi(n).
     """
@@ -408,9 +391,7 @@ def crack_benchmark(
     so the keys (though not the timings) are reproducible.  A trial that
     exceeds ``timeout`` is recorded with ``solved=False`` instead of
     aborting the run.  Trials run sequentially; interleaving them would
-    contaminate the wall-clock numbers.  On a multi-CPU host a Pollard-rho
-    trial from n >= 2^40 on races one walk per idle CPU, and its
-    ``elapsed`` is the race's wall time.  Before any key is made, ``trials``
+    contaminate the wall-clock numbers.  Before any key is made, ``trials``
     below 1 or a ``timeout`` :func:`crack_private_key` refuses raises
     :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`.
     """

@@ -9,8 +9,7 @@ A command returns nothing.  It fails by raising a class of
 :mod:`rsa_primer.errors`, whose message is the diagnostic and whose
 ``exit_code`` is the exit code (the README's table), or an ``OSError``
 (exit 1); ``main`` catches nothing else and alone returns an exit code,
-2 for a command line argparse refuses.  stdout carries only payload,
-diagnostics go to stderr.
+2 for a command line argparse refuses.
 """
 
 from __future__ import annotations

@@ -1,14 +1,9 @@
 """Turn bytes into numeric blocks smaller than the modulus, and back.
 
 RSA encrypts integers modulo n, so longer messages must be split into
-blocks each strictly less than n.  Two codecs are provided:
-
-* ``toy-ascii``: one block per character, the block value being the ASCII
-  code (0..127).  Matches the classic worked example where "Tue 7PM"
-  becomes 084 117 101 032 055 080 077.
-* ``chunked``: general bytes packed base-256, ``chunk_bytes`` per block
-  with the final partial chunk carrying a one-byte length prefix so the
-  inverse needs no external length metadata.
+blocks each strictly less than n.  Two codecs are provided, ``toy-ascii``
+(:func:`encode_toy_ascii`) and ``chunked`` (:func:`encode_chunked`); each
+encoder's docstring gives its framing.
 """
 
 from __future__ import annotations

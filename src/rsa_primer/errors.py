@@ -3,10 +3,8 @@
 Every error is a subclass of :class:`Error` so callers can catch the whole
 family with one clause; :class:`InvalidArgument` is also a ``ValueError``.
 A wrong type raises ``TypeError``, as in Python.  Each class carries its
-CLI exit code as ``exit_code``: 3 (a codec or number-theory domain error)
-unless the class overrides it.  ``cli.main`` prints the message and returns
-that code; apart from a file system error (``OSError``, exit 1) it maps no
-other exception, so each failure a command reports is one of these classes.
+CLI exit code as ``exit_code``, which ``cli.main`` returns: 3 (a codec or
+number-theory domain error) unless the class overrides it.
 """
 
 

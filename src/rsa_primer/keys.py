@@ -86,8 +86,7 @@ def _check_exponent(e: int, phi: int) -> None:
 
 
 def _draw_exponent(phi: int, rng: Rng64) -> int:
-    # Rejection-sample odd values in [3, phi) until one is coprime to phi.
-    # phi is even for odd primes p, q, so restricting to odd loses nothing.
+    # phi is even for odd primes p, q, so drawing only odd values loses nothing.
     width = phi.bit_length()
     while True:
         e = _draw_bits(width, rng) | 1
@@ -190,15 +189,9 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 
 # --- key file format ---------------------------------------------------------
 #
-# Line 1:  rsa-primer <public|private|pair> v1
-# Then, in this order, one `name=<decimal>` per line, with no leading zeros:
-#   public:  n, e
-#   private: n, d
-#   pair:    n, e, d, and optionally the provenance trio p, q, phi; the
-#            whole pair must pass validate_keypair
-# Every line ends with \n; no other whitespace is tolerated.  n must exceed
-# 1, and e and d must be odd and at least 3: phi(n) is even, 1 < e < phi(n)
-# and e*d = 1 (mod phi(n)), so no other exponent can be a working key.
+# The format is the one README.md's "Key files" gives: the kind's header
+# line, then one `name=<decimal>` line per field of _FIELDS_BY_KIND, in its
+# order, and for a pair optionally the _PROVENANCE_FIELDS.
 
 _FIELD_RE = re.compile(r"^([a-z]+)=(0|[1-9][0-9]*)$")
 
@@ -244,9 +237,8 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
     """Parse a key file, enforcing the format bit-exactly.
 
     A pair file must pass :func:`validate_keypair`, or
-    :class:`MalformedKeyFile` is raised: without p, q and phi its e and d
-    must round-trip the probes; with them, the trio must be consistent with
-    n, e and d, since the private key then decrypts by CRT, trusting p and q.
+    :class:`MalformedKeyFile` is raised; the private key of a pair with p,
+    q and phi then decrypts by CRT, trusting p and q.
     """
     if not text.endswith("\n"):
         raise MalformedKeyFile("key file must end with a newline")

@@ -6,9 +6,8 @@ extra machinery.  All values are non-negative ("naturals") except the
 Bezout coefficients returned by :func:`extended_gcd`, which may be
 negative.
 
-The module also houses :class:`Rng64`, a deterministic xorshift64* stream
-used by prime generation.  It is seeded explicitly and threaded through
-callers, so identical seeds reproduce identical keys on every platform.
+The module also houses :class:`Rng64`, the seeded stream that prime
+generation draws from, threaded through its callers.
 """
 
 from __future__ import annotations
@@ -281,9 +280,7 @@ def _sieve(limit: int) -> Iterator[int]:
 
 _SMALL_PRIMES = frozenset(_sieve(1000))
 # One gcd with the product of the 168 primes below 1000 (a 1380-bit number)
-# screens n against all of them at once.  1009 is the least prime past the
-# screen, so a screened n in (1, 1009**2) has no prime factor up to its
-# square root: it is prime, and Miller-Rabin has nothing left to prove.
+# screens n against all of them at once.
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _SCREEN_LIMIT = 1009 * 1009
 
@@ -291,9 +288,9 @@ _SCREEN_LIMIT = 1009 * 1009
 # (OEIS A014233), so below psi_k those k bases are a proven exact test:
 # psi_1..psi_8 in Jaeschke, "On strong pseudoprimes to several bases",
 # Math. Comp. 61, 1993; psi_9 = psi_10 = psi_11 in Jiang & Deng, Math.
-# Comp. 83, 2014; psi_12 and psi_13 in Sorenson & Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017.  With k the
-# number of psi_j <= n, k < 13 means n < psi_13: run the first k + 1 bases.
+# Comp. 83, 2014; the last two in Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017.  With k the number of
+# psi_j <= n, k < 13 means n is below the last: run the first k + 1 bases.
 _PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
         3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
         3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
@@ -323,19 +320,22 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
 
     - one gcd with the product of the primes below 1000 settles an n that
       shares a factor with it (prime only if one of them), and a survivor
-      in (1, 1009**2 = 1018081) is prime with no Miller-Rabin round at all;
+      in (1, 1009**2 = 1018081) is prime with no Miller-Rabin round at all:
+      1009 is the least prime past the screen, so no prime up to its
+      square root divides it;
     - below psi_13 = 3317044064679887385961981 (about 3.3e24), the first
       k prime bases, where k is 1 + the number of psi_j <= n (psi_k is the
       least strong pseudoprime to the first k prime bases), so k <= 13 and
       the bases are among {2, 3, ..., 41}.
 
-    From psi_13 on, 64 rounds with witnesses drawn from ``rng`` are used (a
+    From there on, 64 rounds with witnesses drawn from ``rng`` are used (a
     fresh stream with a fixed documented seed when the caller supplies
     none, keeping verdicts reproducible); only this tier reads ``rng``.
-    Once the first round passes, the other 63 witnesses are drawn at once,
-    and from about 183 bits on their rounds are split across forked
-    workers; the verdict and the stream's state afterwards are those of the
-    rounds run in order up to the first witness that proves n composite.
+    Once the first round passes, the other 63 witnesses are drawn at once
+    and their rounds go through ``_pool.split_map``, which splits them from
+    about 183 bits on; the verdict and the stream's state afterwards are
+    those of the rounds run in order up to the first witness that proves n
+    composite.
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")

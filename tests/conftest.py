@@ -3,6 +3,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,13 @@ def low_digit_limit():
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture(scope="session")
+def readme():
+    """The text of README.md, whose examples and numbers the tests hold to
+    the code."""
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

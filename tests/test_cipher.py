@@ -172,6 +172,16 @@ class TestCrtDecryption:
         c = data.draw(st.integers(0, sk.n - 1))
         assert decrypt_block(c, sk) == pow(c, sk.d, sk.n)
 
+    def test_crt_halves_the_exponent_only_of_a_wide_d(self, toy_keypair):
+        # The facts behind decrypt_block's claim: the textbook key's d is
+        # narrower than p, so dP and dQ are d itself, while a drawn e leaves
+        # d about as wide as n and dP, dQ about half that.
+        sk = toy_keypair.private
+        assert sk.crt[2] == sk.crt[3] == sk.d == 997
+        sk = generate_keypair(256, 7, retain_provenance=True).private
+        assert max(sk.crt[2].bit_length(), sk.crt[3].bit_length()) <= 256
+        assert sk.d.bit_length() > 500
+
     def test_key_with_crt_values_decrypts_by_them(self, toy_keypair):
         # d is not consulted, so a wrong d goes unnoticed and a wrong dP not
         p, q, dp, dq, q_inv = toy_keypair.private.crt

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import re
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rsa_primer import _pool, cipher, number_theory
 from rsa_primer.cipher import METHODS
+from rsa_primer.cli import FACTOR_BOUND
 from rsa_primer.codec import CODECS
-from rsa_primer.errors import Error
+from rsa_primer.errors import Error, KeyTooLarge
 from rsa_primer.keys import (
     format_keypair,
     format_private_key,
@@ -802,10 +805,9 @@ class TestExitCodes:
         assert {cls.__name__ for cls in Error.__subclasses__()} == set(README_EXIT_CODES)
 
     @pytest.mark.parametrize("cls", Error.__subclasses__(), ids=lambda cls: cls.__name__)
-    def test_exit_code_matches_readme(self, cls):
+    def test_exit_code_matches_readme(self, cls, readme):
         assert cls.exit_code == README_EXIT_CODES[cls.__name__]
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        assert f"\n| {cls.exit_code} | " in readme.read_text(encoding="utf-8")
+        assert f"\n| {cls.exit_code} | " in readme
 
     @pytest.mark.parametrize("argv", [["--help"], ["crack", "--help"]])
     def test_help_exits_0_with_usage_on_stdout(self, cli, argv):
@@ -813,3 +815,66 @@ class TestExitCodes:
         assert res.code == 0
         assert res.out.startswith(b"usage: rsa-primer")
         assert res.err == b""
+
+
+def _least(holds, low, high):
+    """The least x in [low, high] for which holds(x), which stays true above it."""
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(mid) else (mid + 1, high)
+    return low
+
+
+def _refuses_keygen(bits):
+    try:
+        number_theory._require_printable(2 * bits)
+    except KeyTooLarge:
+        return True
+    return False
+
+
+# Each number README.md keeps: a pattern that finds it in the README, its
+# whitespace folded, and the value it must equal, worked out from the code
+# it describes on 2 CPUs under Python's default int-string limit.
+README_NUMBERS = {
+    "psi13": (r"ψ13 = (\d+)", lambda: number_theory._PSI[-1]),
+    "screen": (r"(1009²) = (\d+)", lambda: number_theory._SCREEN_LIMIT),
+    "random-rounds": (r"it runs (\d+) Miller-Rabin rounds", lambda: number_theory._RANDOM_ROUNDS),
+    "table-gcds": (r"at most (\d+) gcds",
+                   lambda: len(cipher._primes_below(cipher._TABLE_CAP)[1])),
+    "split-work": (r"work of at least (2 × 2\^\d+) \(",
+                   lambda: _least(lambda work: _pool._slices(work) > 1, 1, 2**64)),
+    "race-line": (r"Pollard rho on n ≥ (2\^\d+) races", lambda: _least(
+        lambda n: _pool._slices(math.isqrt(math.isqrt(n)) * cipher._RHO_STEP_WORK) > 1,
+        1, 2**64)),
+    "wheel-clock": (r"once per (\d+) divisions", lambda: cipher._TIMEOUT_CHECK_EVERY),
+    "rho-clock": (r"once per (\d+) Pollard-rho steps", lambda: cipher._RHO_POLL_EVERY),
+    "widest-keygen": (r"`keygen --bits` above (\d+) exits 2",
+                      lambda: _least(_refuses_keygen, 4, 10**6) - 1),
+    "digit-limit": (r"more than the (\d+) digits", lambda: sys.int_info.default_max_str_digits),
+    "totient-bound": (r"brute force, n <= (10\^\d+)\)",
+                      lambda: number_theory.TOTIENT_ORACLE_BOUND),
+    "factor-bound": (r"trial division, n <= (10\^\d+)\)", lambda: FACTOR_BOUND),
+}
+
+
+def _number(text):
+    # "2 × 2^20", "1009²" or "10^7" as an int
+    expr = text.replace("×", "*").replace("^", "**").replace("²", "**2")
+    assert re.fullmatch(r"[0-9* ]+", expr)
+    return eval(expr, {"__builtins__": {}})
+
+
+@pytest.mark.parametrize("name", README_NUMBERS)
+def test_readme_number_matches_the_code(readme, monkeypatch, name):
+    pattern, value = README_NUMBERS[name]
+    [match] = re.findall(pattern, " ".join(readme.split()))
+    monkeypatch.setattr(_pool, "_cpus", lambda: 2)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        expected = value()
+    finally:
+        sys.set_int_max_str_digits(old)
+    for text in match if isinstance(match, tuple) else (match,):
+        assert _number(text) == expected

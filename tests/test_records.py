@@ -5,9 +5,11 @@ records: equality needs the exact same class, ``PrivateKey.crt`` stays out
 of equality, hashing and ``repr``, and no field can be reassigned.
 """
 
+import ast
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +17,12 @@ from pathlib import Path
 import pytest
 
 from rsa_primer._record import replace
-from rsa_primer.cipher import CrackReport, CrackTrial, crack_private_key
+from rsa_primer.cipher import CrackReport, CrackTrial
 from rsa_primer.codec import BlockSeq
-from rsa_primer.keys import KeyPair, PrivateKey, Provenance, PublicKey
+from rsa_primer.keys import KeyPair, PrivateKey, Provenance, PublicKey, format_keypair
 
 TOY_CRT = (1721, 1801, 997, 997, 839)
+GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
 # (instance, its exact repr)
 SAMPLES = [
@@ -59,13 +62,44 @@ def test_repr_is_exact(obj, text):
     assert repr(obj) == text
 
 
-def test_readme_crack_report_example_holds(toy_keypair):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    example = next(line for line in readme.read_text(encoding="utf-8").splitlines()
-                   if line.startswith("# CrackReport("))
-    report = crack_private_key(toy_keypair.public)
-    expected = example[2:].replace("elapsed=...", f"elapsed={report.elapsed!r}")
-    assert repr(report) == expected
+def _fenced(readme, heading, lang):
+    # The first ```lang block under the heading.
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_crack_report_example_holds(readme, cli, toy_keypair):
+    # The README's quick tours run as written.  In the library tour, each
+    # expression with a "# <repr>" comment, at its end or on the next line,
+    # has that repr (the CrackReport's elapsed aside); in the CLI tour, each
+    # nt line prints its comment up to the first two spaces.
+    code = _fenced(readme, "## Quick tour (library)", "python")
+    lines = code.splitlines() + [""]
+    scope, reprs = {}, []
+    for stmt in ast.parse(code).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip() \
+            or lines[stmt.end_lineno].strip()
+        expected = comment.removeprefix("# ")
+        if isinstance(value, CrackReport):
+            expected = expected.replace("elapsed=...", f"elapsed={value.elapsed!r}")
+        assert repr(value) == expected
+        reprs.append(expected)
+    assert len(reprs) == 4
+    assert reprs[:3] == ["997", f"'{GOLDEN_CIPHERTEXT}'", "b'Tue 7PM'"]
+
+    tour = re.findall(r"^rsa-primer (nt .+?) +# (.+)$",
+                      _fenced(readme, "## Quick tour (CLI)", "sh"), re.MULTILINE)
+    assert len(tour) == 7
+    for command, comment in tour:
+        res = cli(command.split())
+        assert (res.code, res.text) == (0, re.split(r"  +", comment)[0] + "\n")
+
+    key_file = readme.split("**Key files**", 1)[1].split("```\n", 2)[1]
+    assert key_file == format_keypair(toy_keypair)
 
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=IDS)
