@@ -5,21 +5,24 @@ exponent) into contiguous slices, one per _FAN_OUT_WORK and at most one per
 CPU the process may run on, so less than twice that stays whole.  The
 caller runs the first slice and a worker each other one.  Less work, a
 platform without fork, or a caller that runs other threads gets one slice,
-run in the caller by the same code.  ``race`` runs one function in the
-caller and in up to one worker per further CPU that nothing else runs on,
-by Linux's count of running tasks in /proc/loadavg (every CPU where that
-cannot be read): two walks sharing one CPU lose to one, as racing every
-28-bit crack beside one busy process on 2 CPUs took 1.262 times as long as
-walking once (BENCH_rho_race.json).  Each entrant polls a one-byte flag in
-an anonymous shared mmap, made before the first fork; the first to find a
-result sets it, and the others stop at their next poll.
+run in the caller by the same code.  ``race`` is a split over walk
+indices, one per process: the caller and up to one worker per further CPU
+that nothing else runs on, by Linux's count of running tasks in
+/proc/loadavg (every CPU where that cannot be read): two walks sharing one
+CPU lose to one, as racing every 28-bit crack beside one busy process on 2
+CPUs took 1.262 times as long as walking once (BENCH_rho_race.json).  Each
+walk polls a one-byte flag in an anonymous shared mmap, made before the
+first fork; the first to find a result sets it, and the others stop at
+their next poll.
 
 Workers are forked at the first split or race that needs them and kept for
 every one after.  Each job and each reply crosses its pipe as one marshal
 string, read whole, and every split and race reads the reply to each job
 it sends before it returns, so no job is in flight between calls.  A worker
-that dies or replies with anything else is dropped: a split redoes its
-slice in the caller, a race goes on without it.  An exception in the caller
+that dies or replies with anything else is dropped and its slice redone in
+the caller; in a race the flag is set by then, so a redone walk stops at its
+first poll.  A race in which no result passes its check drops every worker
+and walks k = 0 again, alone in the caller.  An exception in the caller
 kills every worker at once.  A worker leaves on EOF, a forked child starts
 with none, and an exit handler reaps them.
 """
@@ -81,7 +84,7 @@ def split_map(fn, values, args: tuple, work: int) -> list:
             _send(worker, fn.__module__, fn.__name__, part, *args)
         results = fn(parts[0], *args)
         for worker, part in zip(workers, parts[1:]):
-            done = _reply(worker, lambda done: type(done) is list and len(done) == len(part))
+            done = _reply(worker, len(part))
             results += fn(part, *args) if done is None else done
         return results
     except BaseException:
@@ -90,50 +93,34 @@ def split_map(fn, values, args: tuple, work: int) -> list:
 
 
 def race(fn, args: tuple, work: int, valid):
-    # The first result of fn(*args, k, lost), run by the caller (k = 0) and
-    # by a worker for each k = 1, 2, ... up to _slices(work) - 1 and to the
-    # idle CPUs.  A worker finds fn by module and name.  Each entrant calls
-    # lost() now and then and returns None once it is true.  A worker that
-    # wins sets the flag; at its next poll the caller reads the workers'
-    # replies, and lost() is true only once one passes valid.  Once the
-    # caller's own call returns, it sets the flag, reads every reply still
-    # unread and clears the flag.
-    try:
-        slices = _slices(work)
-        if slices > 1:
-            slices = max(1, min(slices, _cpus() - _running() + 1))
-        entrants = _hire(slices)
-        for k, worker in enumerate(entrants, 1):
-            _send(worker, __name__, "_enter", fn.__module__, fn.__name__, *args, k)
-        unread, won = list(entrants), []
-
-        def lost() -> bool:
-            while unread and _flag[0]:  # each entrant stops at its next poll
-                done = _reply(unread.pop(0), lambda done: done is None or valid(done))
-                if done is not None:
-                    won.append(done)
-                    return True
-            return False
-
-        result = fn(*args, 0, lost)
-        if entrants:
-            _flag[0] = 1
-            while unread:
-                _reply(unread.pop(), lambda done: True)
-            _flag[0] = 0
-        return won[0] if result is None else result
-    except BaseException:
-        _abort()
-        raise
+    # The first result of fn(*args, k, lost) that passes valid, over walks
+    # k = 0, 1, ... up to _slices(work) - 1 and to the idle CPUs, one per
+    # process, k = 0 in the caller.  A worker finds fn by module and name.
+    # Each walk calls lost() now and then, and returns None once it is true.
+    walks = _slices(work)
+    if walks > 1:
+        walks = min(walks, _cpus() - _running() + 1)
+    results = split_map(_enter, [0, *range(1, walks)], (fn.__module__, fn.__name__, *args), work)
+    if _flag is not None:
+        _flag[0] = 0  # every reply is read: no walk polls it now
+    for result in results:
+        if result is not None and valid(result):
+            return result
+    stop()  # no worker's result is to be trusted
+    return fn(*args, 0, lambda: False)
 
 
-def _enter(module: str, name: str, *args):
-    # One entrant of a race, in a worker: the flag stops it, and its win sets it.
-    flag = _flag
-    result = getattr(sys.modules[module], name)(*args, lambda: flag[0] != 0)
-    if result is not None:
-        flag[0] = 1
-    return result
+def _enter(ks: list, module: str, name: str, *args) -> list:
+    # Walks ks of a race, one after another: the flag stops each, and any
+    # result sets it.  With no worker forked since the last stop() there is
+    # no shared flag, and the caller's walks share one of their own.
+    flag = bytearray(1) if _flag is None else _flag
+    results = []
+    for k in ks:
+        results.append(getattr(sys.modules[module], name)(*args, k, lambda: flag[0] != 0))
+        if results[-1] is not None:
+            flag[0] = 1
+    return results
 
 
 def _hire(slices: int) -> list:
@@ -168,11 +155,11 @@ def _send(worker: tuple, *job) -> None:
         _write(worker[1], job)
 
 
-def _reply(worker: tuple, ok):
-    # The worker's reply if ok(reply); otherwise None, the worker dropped.
+def _reply(worker: tuple, length: int):
+    # The worker's reply if a list of length results, else None: it is dropped.
     with suppress(EOFError, OSError, TypeError, ValueError):
         done = _read(worker[2])
-        if ok(done):
+        if type(done) is list and len(done) == length:
             return done
     _drop(worker)
     return None

@@ -808,17 +808,18 @@ class TestCrackPrivateKey:
 
 
 def _rig_walks(monkeypatch, worker_walk, caller_waits=False):
-    """Each worker's rho walk becomes worker_walk(walk, n, deadline, k, lost);
-    the caller's is the real one, started once a worker has set the flag
-    when caller_waits."""
-    walk = cipher._rho_walk
+    """Each rho walk in a worker becomes worker_walk(walk, n, deadline, k,
+    lost); every walk in the caller, a dropped worker's redone too, is the
+    real one.  When caller_waits, the caller's walks wait until a worker
+    has set the flag, but for the one a race walks alone after stop()."""
+    walk, parent = cipher._rho_walk, os.getpid()
 
     @functools.wraps(walk)  # the workers find it by this name
     def rigged(n, deadline, k, lost):
-        if k:
+        if os.getpid() != parent:
             return worker_walk(walk, n, deadline, k, lost)
         end = perf_counter() + 10
-        while caller_waits and not _pool._flag[0]:
+        while caller_waits and _pool._flag is not None and not _pool._flag[0]:
             assert perf_counter() < end, "no worker set the flag"
             sleep(0.001)
         return walk(n, deadline, k, lost)
@@ -828,6 +829,23 @@ def _rig_walks(monkeypatch, worker_walk, caller_waits=False):
 
 def _exit_mid_race(walk, n, deadline, k, lost):
     return walk(n, deadline, k, lambda: os._exit(1))
+
+
+def _exit_mid_race_on_walk_1(walk, n, deadline, k, lost):
+    return walk(n, deadline, k, lambda: os._exit(1) if k == 1 else lost())
+
+
+def _log_walks(monkeypatch):
+    """The (k, result) of each rho walk the caller runs, in order."""
+    walk, walks = cipher._rho_walk, []
+
+    @functools.wraps(walk)
+    def logged(n, deadline, k, lost):
+        walks.append((k, walk(n, deadline, k, lost)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(cipher, "_rho_walk", logged)
+    return walks
 
 
 def _walk_until_lost(walk, n, deadline, k, lost):
@@ -910,6 +928,21 @@ class TestRhoRace:
         assert [pid for pid, _, _ in _pool._workers] == forks
         assert_no_children(forks)
 
+    # The same, with walk 1's worker dying mid-race on every key: each race
+    # drops and reaps that worker alone, redoes its walk in the caller, and
+    # the next race forks a successor.
+    def test_six_walks_on_fewer_cores_one_dying_each_race(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        _rig_walks(monkeypatch, _exit_mid_race_on_walk_1)
+        keys = [generate_keypair(24, seed) for seed in range(40, 72)]
+        start = perf_counter()
+        for dropped, kp in enumerate(keys, 1):
+            assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+            assert len(forks) - len(_pool._workers) == dropped  # walk 1's alone
+        assert perf_counter() - start < 10
+        assert 1 < len(_pool._workers) <= 5
+        assert_no_children(forks)
+
     # Whichever walk wins, the race has read every worker's reply and
     # cleared the flag by the time it returns: nothing waits in a pipe.
     @pytest.mark.parametrize("worker_walk, caller_waits", [
@@ -934,18 +967,78 @@ class TestRhoRace:
         (lambda walk, n, *args: "3", True, False),
         (lambda walk, n, *args: 3, True, True),
     ], ids=["exits-mid-race", "one", "n", "not-an-int", "undecodable"])
-    def test_failed_worker_leaves_the_caller_walking(self, forks, monkeypatch,
-                                                     worker_walk, caller_waits, garbled):
+    def test_failed_workers_are_dropped_and_the_key_still_cracks(self, forks, monkeypatch,
+                                                                worker_walk, caller_waits,
+                                                                garbled):
         if garbled:
             parent, dump = os.getpid(), marshal.dump
             monkeypatch.setattr(marshal, "dump", lambda value, file: dump(value, file)
                                 if os.getpid() == parent else file.write(b"not marshal"))
         _rig_walks(monkeypatch, worker_walk, caller_waits)
         kp = generate_keypair(24, 11)
-        for _ in range(2):  # each failed worker is dropped, then replaced
+        for _ in range(2):  # every failed worker is dropped, then replaced
             assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+            assert _pool._workers == []
         assert len(forks) == 4
         assert_no_children(forks)
+
+    # A dead worker's walk is redone in the caller once the flag is set: it
+    # stops at its first poll, one step in.
+    def test_a_dropped_walk_is_redone_in_the_caller(self, forks, monkeypatch):
+        walk, parent, redone = cipher._rho_walk, os.getpid(), []
+
+        @functools.wraps(walk)
+        def rigged(n, deadline, k, lost):
+            if os.getpid() != parent:
+                return _exit_mid_race(walk, n, deadline, k, lost)
+            if k == 0:
+                return walk(n, deadline, k, lost)
+            polls = []
+
+            def polled():
+                polls.append(lost())
+                return polls[-1]
+
+            redone.append((k, walk(n, deadline, k, polled), polls))
+            return redone[-1][1]
+
+        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        kp = generate_keypair(24, 11)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert redone == [(1, None, [True]), (2, None, [True])]
+        assert (_pool._workers, _pool._flag[0]) == ([], 0)
+        assert len(forks) == 2
+        assert_no_children(forks)
+
+    # No result passes: every worker is dropped, and the caller walks k = 0
+    # again from the start, alone, to the serial report.
+    def test_no_valid_result_walks_alone(self, forks, monkeypatch):
+        pk = generate_keypair(24, 11).public
+        with monkeypatch.context() as m:
+            m.setattr(_pool, "_slices", lambda work: 1)
+            serial = replace(crack_private_key(pk, POLLARD_RHO, 30.0), elapsed=0.0)
+        assert forks == []
+        walks = _log_walks(monkeypatch)
+        _rig_walks(monkeypatch, lambda walk, n, *args: 1, caller_waits=True)
+        assert replace(crack_private_key(pk, POLLARD_RHO, 30.0), elapsed=0.0) == serial
+        assert walks == [(0, None), (0, serial.p)]
+        assert (_pool._workers, _pool._flag) == ([], None)
+        assert len(forks) == 2
+        assert_no_children(forks)
+
+    # No process to spare: the caller walks every index itself, and the
+    # first factor stops the rest at their first poll.
+    def test_no_process_to_spare(self, three_cpus, monkeypatch):
+        def fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        walks = _log_walks(monkeypatch)
+        kp = generate_keypair(24, 11)
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        assert [(k, f is None) for k, f in walks] == [(0, False), (1, True), (2, True)]
+        assert (_pool._workers, _pool._flag[0]) == ([], 0)
+        assert_no_children()
 
     def test_timeout_then_a_race_and_a_split(self, forks):
         pk = generate_keypair(64, 31337).public
