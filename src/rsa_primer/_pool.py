@@ -77,18 +77,34 @@ def split_map(fn, values, args: tuple, work: int) -> list:
     # fn(part, *args) over _slices(work) contiguous parts of values, at most
     # one per value, joined in order.  A worker finds fn by module and name.
     try:
-        workers = _hire(min(_slices(work), max(1, len(values))))
+        slices = min(_slices(work), max(1, len(values)))
+        with suppress(OSError):  # no process to spare: fewer parts
+            while len(_workers) < slices - 1:
+                _workers.append(_start_worker())
+        workers = _workers[: slices - 1]
         size = -(-len(values) // (len(workers) + 1))
         parts = [values[i * size : (i + 1) * size] for i in range(len(workers) + 1)]
         for worker, part in zip(workers, parts[1:]):
-            _send(worker, fn.__module__, fn.__name__, part, *args)
+            with suppress(OSError):  # a dead worker sends no reply, so it is dropped
+                _write(worker[1], (fn.__module__, fn.__name__, part, *args))
         results = fn(parts[0], *args)
         for worker, part in zip(workers, parts[1:]):
-            done = _reply(worker, len(part))
-            results += fn(part, *args) if done is None else done
+            done = None
+            with suppress(EOFError, OSError, TypeError, ValueError):
+                done = _read(worker[2])
+            if type(done) is not list or len(done) != len(part):
+                _drop(worker)  # it died or replied with anything else
+                done = fn(part, *args)
+            results += done
         return results
     except BaseException:
-        _abort()
+        # No worker is left to finish a job nobody reads.  9 is SIGKILL on
+        # every POSIX system; importing signal would cost each process 1.6 ms
+        # (CHANGES.md line 36).
+        for pid, _, _ in _workers:
+            with suppress(OSError):
+                os.kill(pid, 9)
+        stop()
         raise
 
 
@@ -123,14 +139,6 @@ def _enter(ks: list, module: str, name: str, *args) -> list:
     return results
 
 
-def _hire(slices: int) -> list:
-    # Enough workers forked for slices - 1 of them to take one job each.
-    with suppress(OSError):  # no process to spare: fewer parts
-        while len(_workers) < slices - 1:
-            _workers.append(_start_worker())
-    return _workers[: slices - 1]
-
-
 def _write(file, message) -> None:
     # message as marshal strings, the last shorter than _STRING_CUT: one in
     # practice.  marshal.load reads a string whole, but an int from a file
@@ -148,31 +156,6 @@ def _read(file):
     while len(strings[-1]) == _STRING_CUT:
         strings.append(marshal.load(file))
     return marshal.loads(b"".join(strings))
-
-
-def _send(worker: tuple, *job) -> None:
-    with suppress(OSError):  # a dead worker sends no reply, so it is dropped
-        _write(worker[1], job)
-
-
-def _reply(worker: tuple, length: int):
-    # The worker's reply if a list of length results, else None: it is dropped.
-    with suppress(EOFError, OSError, TypeError, ValueError):
-        done = _read(worker[2])
-        if type(done) is list and len(done) == length:
-            return done
-    _drop(worker)
-    return None
-
-
-def _abort() -> None:
-    # No worker is left to finish a job nobody reads.  9 is SIGKILL on every
-    # POSIX system; importing signal would cost each process 1.6 ms
-    # (CHANGES.md line 36).
-    for pid, _, _ in _workers:
-        with suppress(OSError):
-            os.kill(pid, 9)
-    stop()
 
 
 def _start_worker() -> tuple:

@@ -358,7 +358,7 @@ def crack_private_key(
         raise InvalidArgument(f"unknown method {method!r}")
     _require_budget(timeout)
     n = pk.n
-    _require_printable(n.bit_length(), n)  # the messages below write n
+    _require_printable(n.bit_length(), n)  # KeyTooLarge: the report's numbers stay writable
     start = perf_counter()
     deadline = start + timeout if timeout is not None else None
     if n < 6 or is_probable_prime(n):

@@ -85,7 +85,7 @@ def decode_toy_ascii(bs: BlockSeq) -> bytes:
     if bs.codec_id != CODEC_TOY_ASCII:
         raise InvalidArgument(f"expected a toy-ascii block sequence, got {bs.codec_id}")
     for b in bs.blocks:
-        if b >= 128:
+        if not 0 <= b < 128:
             raise BlockOutOfRange(f"block {_decimal(b)} is not an ASCII code")
     return bytes(bs.blocks)
 

@@ -440,7 +440,9 @@ class TestFanOut:
         lambda results, file: file.write(b"not marshal data"),
         lambda results, file: file.write(marshal.dumps(results[:-1])),
         lambda results, file: file.write(marshal.dumps(marshal.dumps(marshal.loads(results)[:-1]))),
-    ], ids=["exits-nonzero", "short", "undecodable", "too-few", "one-value-short"])
+        lambda results, file: file.write(marshal.dumps(marshal.dumps(7))),
+        lambda results, file: file.write(marshal.dumps(marshal.dumps("x" * len(marshal.loads(results))))),
+    ], ids=["exits-nonzero", "short", "undecodable", "too-few", "one-value-short", "an-int", "a-str"])
     def test_failed_child_slice_is_recomputed(self, wide, forks, monkeypatch, send):
         kp, data, encrypted = wide
         parent, dump = os.getpid(), marshal.dump

@@ -63,6 +63,13 @@ class TestToyAscii:
         with pytest.raises(BlockOutOfRange):
             decode_toy_ascii(bs)
 
+    def test_decode_rejects_negative_block(self):
+        bs = BlockSeq((-1,), CODEC_TOY_ASCII, 4)
+        with pytest.raises(BlockOutOfRange, match="^block -1 is not an ASCII code$"):
+            decode_toy_ascii(bs)
+        with pytest.raises(BlockOutOfRange, match="^block -1 is not an ASCII code$"):
+            decode(bs)
+
     @given(st.binary(max_size=200).map(lambda b: bytes(x & 0x7F for x in b)))
     def test_roundtrip(self, data):
         assert decode_toy_ascii(encode_toy_ascii(data, TOY_N)) == data
