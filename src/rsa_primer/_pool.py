@@ -6,25 +6,29 @@ CPU the process may run on, so less than twice that stays whole.  The
 caller runs the first slice and a worker each other one.  Less work, a
 platform without fork, or a caller that runs other threads gets one slice,
 run in the caller by the same code.  ``race`` is a split over walk
-indices, one per process: the caller and up to one worker per further CPU
-that nothing else runs on, by Linux's count of running tasks in
-/proc/loadavg (every CPU where that cannot be read): two walks sharing one
-CPU lose to one, as racing every 28-bit crack beside one busy process on 2
-CPUs took 1.262 times as long as walking once (BENCH_rho_race.json).  Each
-walk polls a one-byte flag in an anonymous shared mmap, made before the
-first fork; the first to find a result sets it, and the others stop at
-their next poll.
+indices k = 0, ..., m - 1, one per process: the caller and up to one worker
+per further CPU that nothing else runs on, by Linux's count of running
+tasks in /proc/loadavg (every CPU where that cannot be read): two walks
+sharing one CPU lose to one, as racing every 28-bit crack beside one busy
+process on 2 CPUs took 1.262 times as long as walking once
+(BENCH_rho_race.json).  Each walk gets k, the entrant count m and a
+one-byte flag in an anonymous shared mmap, made before the first fork, and
+the race returns every walk's result in walk order.  What the flag says is
+the caller's: Pollard rho's walks (cipher) set it once one has a factor,
+and the others stop at their next poll; gen_prime's walks (number_theory),
+each over every m-th candidate from the k-th, write the index they stopped
+at as a hint of how far the others must go.
 
 Workers are forked at the first split or race that needs them and kept for
 every one after.  Each job and each reply crosses its pipe as one marshal
 string, read whole, and every split and race reads the reply to each job
 it sends before it returns, so no job is in flight between calls.  A worker
 that dies or replies with anything else is dropped and its slice redone in
-the caller; in a race the flag is set by then, so a redone walk stops at its
-first poll.  A race in which no result passes its check drops every worker
-and walks k = 0 again, alone in the caller.  An exception in the caller
-kills every worker at once.  A worker leaves on EOF, a forked child starts
-with none, and an exit handler reaps them.
+the caller; in a race the flag is set by then, so a redone walk stops as
+soon as its flag says.  A race in which no result passes its check drops
+every worker and walks k = 0 of m = 1 again, alone in the caller.  An
+exception in the caller kills every worker at once.  A worker leaves on
+EOF, a forked child starts with none, and an exit handler reaps them.
 """
 
 import atexit
@@ -108,35 +112,31 @@ def split_map(fn, values, args: tuple, work: int) -> list:
         raise
 
 
-def race(fn, args: tuple, work: int, valid):
-    # The first result of fn(*args, k, lost) that passes valid, over walks
-    # k = 0, 1, ... up to _slices(work) - 1 and to the idle CPUs, one per
-    # process, k = 0 in the caller.  A worker finds fn by module and name.
-    # Each walk calls lost() now and then, and returns None once it is true.
+def race(fn, args: tuple, work: int, valid) -> list:
+    # fn(*args, k, m, flag) for walks k = 0, 1, ..., m - 1, one per process,
+    # k = 0 in the caller, m up to _slices(work) and to the idle CPUs: every
+    # walk's result in walk order, or, when none passes valid, the one
+    # result of walk 0 of 1 run alone.  A worker finds fn by module and name.
     walks = _slices(work)
     if walks > 1:
         walks = min(walks, _cpus() - _running() + 1)
-    results = split_map(_enter, [0, *range(1, walks)], (fn.__module__, fn.__name__, *args), work)
+    results = split_map(_enter, list(range(walks)), (fn.__module__, fn.__name__, walks, *args),
+                        work)
     if _flag is not None:
         _flag[0] = 0  # every reply is read: no walk polls it now
-    for result in results:
-        if result is not None and valid(result):
-            return result
+    if any(map(valid, results)):
+        return results
     stop()  # no worker's result is to be trusted
-    return fn(*args, 0, lambda: False)
+    return [fn(*args, 0, 1, bytearray(1))]
 
 
-def _enter(ks: list, module: str, name: str, *args) -> list:
-    # Walks ks of a race, one after another: the flag stops each, and any
-    # result sets it.  With no worker forked since the last stop() there is
-    # no shared flag, and the caller's walks share one of their own.
+def _enter(ks: list, module: str, name: str, m: int, *args) -> list:
+    # Walks ks of a race of m, one after another, sharing the flag.  With no
+    # worker forked since the last stop() there is no shared flag, and the
+    # caller's walks share one of their own.
+    fn = getattr(sys.modules[module], name)
     flag = bytearray(1) if _flag is None else _flag
-    results = []
-    for k in ks:
-        results.append(getattr(sys.modules[module], name)(*args, k, lambda: flag[0] != 0))
-        if results[-1] is not None:
-            flag[0] = 1
-    return results
+    return [fn(*args, k, m, flag) for k in ks]
 
 
 def _write(file, message) -> None:

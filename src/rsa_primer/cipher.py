@@ -269,8 +269,19 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
         raise NoFactor(f"{_decimal(n)} is not composite, so rho has no factor to find")
     if n % 2 == 0:
         return 2
-    return race(_rho_walk, (n, deadline), math.isqrt(math.isqrt(n)) * _RHO_STEP_WORK,
-                lambda f: type(f) is int and 1 < f < n and n % f == 0)
+    def valid(f):
+        return type(f) is int and 1 < f < n and n % f == 0
+
+    return next(filter(valid, race(_rho_entrant, (n, deadline),
+                                   math.isqrt(math.isqrt(n)) * _RHO_STEP_WORK, valid)))
+
+
+def _rho_entrant(n: int, deadline: float | None, walk: int, walks: int, flag) -> int | None:
+    # Walk `walk` of a race: lost once the flag is set, which any result sets.
+    f = _rho_walk(n, deadline, walk, lambda: flag[0] != 0)
+    if f is not None:
+        flag[0] = 1
+    return f
 
 
 def _rho_walk(n: int, deadline: float | None, walk: int,

@@ -82,12 +82,21 @@ def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:
 
 
 def decode_toy_ascii(bs: BlockSeq) -> bytes:
+    return bytes(_ascii_codes(bs))
+
+
+def _ascii_codes(bs: BlockSeq) -> tuple[int, ...]:
+    # The blocks of a toy-ascii sequence, each an ASCII code.
     if bs.codec_id != CODEC_TOY_ASCII:
         raise InvalidArgument(f"expected a toy-ascii block sequence, got {bs.codec_id}")
     for b in bs.blocks:
         if not 0 <= b < 128:
             raise BlockOutOfRange(f"block {_decimal(b)} is not an ASCII code")
-    return bytes(bs.blocks)
+    return bs.blocks
+
+
+def _negative(block: int) -> BlockOutOfRange:
+    return BlockOutOfRange(f"block {_decimal(block)} is negative")
 
 
 def encode_chunked(data: bytes, n: int) -> BlockSeq:
@@ -123,8 +132,12 @@ def decode_chunked(bs: BlockSeq) -> bytes:
         try:
             out += v.to_bytes(k, "big")
         except OverflowError:
+            if v < 0:
+                raise _negative(v) from None
             raise MalformedBlock(f"block {_decimal(v)} exceeds the {k}-byte chunk frame") from None
     tail_value = bs.blocks[-1]
+    if tail_value < 0:
+        raise _negative(tail_value)
     if tail_value == 0:
         return bytes(out)
     field = tail_value.to_bytes((tail_value.bit_length() + 7) // 8, "big")
@@ -163,6 +176,8 @@ def block_seq(blocks: tuple[int, ...], codec_id: str, n: int) -> BlockSeq:
 
 def format_cipher_blocks(bs: BlockSeq) -> str:
     """Blocks in decimal, zero-padded to the modulus digit count, spaced."""
+    if bs.blocks and min(bs.blocks) < 0:
+        raise _negative(min(bs.blocks))
     return " ".join(str(b).zfill(bs.n_digits) for b in bs.blocks)
 
 
@@ -183,6 +198,4 @@ def parse_cipher_blocks(text: str, codec_id: str, n: int) -> BlockSeq:
 
 def format_plain_blocks(bs: BlockSeq) -> str:
     """Display form of toy-ascii message blocks: 3-digit zero-padded codes."""
-    if bs.codec_id != CODEC_TOY_ASCII:
-        raise InvalidArgument(f"expected a toy-ascii block sequence, got {bs.codec_id}")
-    return " ".join(str(b).zfill(3) for b in bs.blocks)
+    return " ".join(str(b).zfill(3) for b in _ascii_codes(bs))

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, compress
 
-from ._pool import split_map
+from ._pool import race, split_map
 from .errors import (
     BitsTooSmall,
     BothZero,
@@ -299,6 +299,14 @@ _PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RANDOM_ROUNDS = 64
 _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
+# The least prime width at which gen_prime races its walk: where the other
+# 63 rounds of a candidate start to split, so no narrower search forks.
+# Raced over serial time, two walks against one on the primes of seeds
+# 1-60 to 1-100, medians of 10-16 alternating rounds a width (a shared
+# 2-vCPU x86 VM, CPython 3.11; BENCH_prime_search.json): 1.14 at 128 bits,
+# 1.13 at 160, 0.97-1.14 at 176, 0.95-1.04 at 182, 0.97-1.09 at 183,
+# 0.93-0.97 at 184, 0.93-0.95 at 188, 0.91-0.94 at 192, 0.88 at 256.
+_RACE_BITS = 183
 
 
 def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
@@ -339,37 +347,66 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
+    verdict = _screen(n)
+    if verdict is not None:
+        return verdict
+    if rng is None:
+        rng = Rng64(_DEFAULT_WITNESS_SEED)
+    if not _first_round(n, rng):
+        return False
+    if n < _PSI[-1]:
+        return True
+    # The other rounds, split across the pool.  Each witness comes with the
+    # stream's state after its draw: a composite verdict leaves the stream
+    # where the serial loop would have stopped.
+    d, r = _odd_part(n)
+    witnesses, states = zip(*((_draw_witness(n, rng), rng.state)
+                              for _ in range(_RANDOM_ROUNDS - 1)))
+    work = len(witnesses) * n.bit_length() * d.bit_length()
+    verdicts = split_map(_witnesses_all, witnesses, (d, r, n), work)
+    if True in verdicts:
+        rng.state = states[verdicts.index(True)]
+    return True not in verdicts
+
+
+def _screen(n: int) -> bool | None:
+    # The small-prime tier: n's verdict, or None when n needs Miller-Rabin
+    # (then n is odd, at least 1009**2, and has no prime factor below 1009).
     if math.gcd(n, _SMALL_PRODUCT) != 1:
         return n in _SMALL_PRIMES
     if n < _SCREEN_LIMIT:
         return n > 1
-    # n is odd and has no prime factor below 1009.
-    d = n - 1
-    r = 0
+    return None
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    # (d, r) with n - 1 = d * 2**r and d odd, for an odd n > 1.
+    d, r = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
+        d, r = d // 2, r + 1
+    return d, r
+
+
+def _draw_witness(n: int, rng: Rng64) -> int:
+    # One random-tier witness in [2, n - 1), drawn from rng: as many 64-bit
+    # words as 64 bits past the width of n - 3 need.
+    span = n - 3
+    return 2 + _draw_bits(span.bit_length() + 64, rng) % span
+
+
+def _first_round(n: int, rng: Rng64) -> bool:
+    # Miller-Rabin on an n the screen left open: below psi_13 every base of
+    # the proven tier, so the verdict is exact and rng is not read; from
+    # psi_13 on the first random round, one witness drawn from rng.  False
+    # when n is proven composite.
+    d, r = _odd_part(n)
     k = bisect_right(_PSI, n)
     if k < len(_PSI):
         for a in _DETERMINISTIC_BASES[: k + 1]:
             if _miller_rabin_witness(a, d, r, n):
                 return False
         return True
-    if rng is None:
-        rng = Rng64(_DEFAULT_WITNESS_SEED)
-    span = n - 3
-    # Each witness comes with the stream's state after its draw: a composite
-    # verdict leaves the stream where the serial loop would have stopped.
-    draws = ((2 + _draw_bits(span.bit_length() + 64, rng) % span, rng.state)
-             for _ in range(_RANDOM_ROUNDS))
-    if _miller_rabin_witness(next(draws)[0], d, r, n):
-        return False
-    witnesses, states = zip(*draws)  # the other rounds, split across the pool
-    work = len(witnesses) * n.bit_length() * d.bit_length()
-    verdicts = split_map(_witnesses_all, witnesses, (d, r, n), work)
-    if True in verdicts:
-        rng.state = states[verdicts.index(True)]
-    return True not in verdicts
+    return not _miller_rabin_witness(_draw_witness(n, rng), d, r, n)
 
 
 def _witnesses_all(witnesses: tuple[int, ...], d: int, r: int, n: int) -> list[bool]:
@@ -385,6 +422,28 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     the bottom of the range so the width stays exact.  Deterministic for a
     given stream state.  Before any draw, a width below 4 raises
     :class:`BitsTooSmall`, one too wide for ``str()`` :class:`KeyTooLarge`.
+
+    From ``_RACE_BITS`` = 183 bits on the walk is a ``_pool.race`` over the
+    CPUs the pool grants; below, the caller runs it as walk 0 of 1.
+    Number the candidates the small-prime screen leaves 0, 1, 2, ... in
+    walk order.  Walk k of m takes k, k + m, k + 2m, ... and stops at the
+    first one that Miller-Rabin's first round (below psi_13, the whole
+    proven tier) does not prove composite.  Each walk keeps the stream as
+    the serial loop would: a random-tier candidate draws its first witness
+    where the serial loop draws it once every earlier candidate has failed
+    its first round, so a walk also draws, and drops, the witness of each
+    random-tier candidate not its own.  A walk that stops on a candidate
+    writes its index mod 255, plus 1, into the race's flag; each other walk
+    then stops at its first own index past the nearest index with that
+    residue.  The caller takes the least index any walk stopped on, walks
+    on itself from where each walk stopped short of it, and takes the least
+    again: every index below that one failed its first round, so its
+    witness, and the stream before it, are the serial loop's.  Below psi_13
+    that candidate is prime; from there on ``is_probable_prime`` tests it
+    again from that state, and a composite leaves the stream where the
+    serial loop does, and the search starts again past it.  So the primes
+    and the stream after each are the serial loop's, whatever the number of
+    walks, the hint or the timing.
     """
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
@@ -393,9 +452,53 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     high = (1 << bits) - 1
     candidate = _draw_bits(bits, rng) | low | 1
     while True:
-        if is_probable_prime(candidate, rng):
+        state = rng.state
+        args = (candidate, state, bits, None)
+        if bits < _RACE_BITS:
+            walks = [_search(*args, 0, 1, bytearray(1))]
+        else:  # as many walks as the other rounds of a candidate split into
+            walks = race(_search, args, (_RANDOM_ROUNDS - 1) * bits * bits,
+                         lambda walk: walk[1] is not None)
+        least = min(index for index, found, _ in walks if found is not None)
+        for k, (index, found, _) in enumerate(walks):
+            if index < least:  # stopped by a hint, short of the least
+                walks[k] = _search(candidate, state, bits, least, index, len(walks), bytearray(1))
+        _, candidate, rng.state = min(walk for walk in walks if walk[1] is not None)
+        # below psi_13 the walk's first round was the whole proven test
+        if candidate < _PSI[-1] or is_probable_prime(candidate, rng):
             return candidate
-        candidate += 2
-        if candidate > high:
-            candidate = low + 1
+        candidate = candidate + 2 if candidate < high else low + 1
 
+
+def _search(start: int, state: int, bits: int, end: int | None, k: int, m: int,
+            flag) -> tuple[int, int | None, int | None]:
+    # Walk k of m over the candidates the screen leaves from start on, with
+    # the stream at state before the first: the first own index, up to end,
+    # that the first round does not prove composite, as (index, candidate,
+    # the stream's state before its draw), or (index, None, None) for the
+    # index it stopped at, by end or by the hint in flag[0], every own index
+    # below it tested.
+    rng = Rng64(state)
+    for index, (n, verdict) in enumerate(_open_candidates(start, bits)):
+        if index == k:
+            hint = flag[0]
+            if end is not None and index >= end or hint and not 0 < (hint - 1 - index) % 255 < 128:
+                return index, None, None
+            before = rng.state
+            if verdict or _first_round(n, rng):
+                flag[0] = index % 255 + 1
+                return index, n, before
+            k += m
+        elif verdict is None and n >= _PSI[-1]:
+            _draw_witness(n, rng)  # the draw this candidate's first round makes
+
+
+def _open_candidates(candidate: int, bits: int) -> Iterator[tuple[int, bool | None]]:
+    # The odd bits-bit numbers from candidate on, wrapping to the bottom of
+    # the range, that the screen does not reject, each with its verdict.
+    low, high = 1 << (bits - 1), (1 << bits) - 1
+    while True:
+        verdict = _screen(candidate)
+        if verdict is not False:
+            yield candidate, verdict
+        candidate = candidate + 2 if candidate < high else low + 1

@@ -825,6 +825,26 @@ def _least(holds, low, high):
     return low
 
 
+class _Raced(Exception):
+    pass
+
+
+def _search_races(bits):
+    """Whether gen_prime's search for a bits-bit prime races more than one
+    walk; a race stops it before any walk or fork."""
+    def entrants(fn, args, work, valid):
+        raise _Raced(_pool._slices(work))
+
+    race, number_theory.race = number_theory.race, entrants
+    try:
+        number_theory.gen_prime(bits, number_theory.Rng64(1))
+    except _Raced as raced:
+        return raced.args[0] > 1
+    finally:
+        number_theory.race = race
+    return False
+
+
 def _refuses_keygen(bits):
     try:
         number_theory._require_printable(2 * bits)
@@ -847,6 +867,7 @@ README_NUMBERS = {
     "race-line": (r"Pollard rho on n ≥ (2\^\d+) races", lambda: _least(
         lambda n: _pool._slices(math.isqrt(math.isqrt(n)) * cipher._RHO_STEP_WORK) > 1,
         1, 2**64)),
+    "search-line": (r"each prime of (\d+) bits or more", lambda: _least(_search_races, 4, 4096)),
     "wheel-clock": (r"once per (\d+) divisions", lambda: cipher._TIMEOUT_CHECK_EVERY),
     "rho-clock": (r"once per (\d+) Pollard-rho steps", lambda: cipher._RHO_POLL_EVERY),
     "widest-keygen": (r"`keygen --bits` above (\d+) exits 2",

@@ -237,3 +237,26 @@ class TestFormatting:
             decimal_digits(n)
         with pytest.raises(InvalidArgument, match="^n must be non-negative, got -"):
             block_seq((1, 2), CODEC_TOY_ASCII, n)
+
+
+class TestHandBuiltOutOfRangeBlocks:
+    """Only a hand-built BlockSeq holds a negative block, or a toy-ascii
+    block past 127; each is refused, never written or decoded."""
+
+    def test_negative_cipher_block_refused(self):
+        with pytest.raises(BlockOutOfRange, match="^block -1 is negative$"):
+            format_cipher_blocks(BlockSeq((-1, 300), CODEC_TOY_ASCII, 4))
+
+    @pytest.mark.parametrize("blocks, block", [((-1, 300), -1), ((84, 300), 300)])
+    def test_plain_block_that_is_no_code_refused(self, blocks, block):
+        with pytest.raises(BlockOutOfRange, match=f"^block {block} is not an ASCII code$"):
+            format_plain_blocks(BlockSeq(blocks, CODEC_TOY_ASCII, 4))
+
+    @pytest.mark.parametrize("blocks", [(-5,), (-5, 0x0141), (0x41, -(2**64))],
+                             ids=["tail", "before-the-tail", "wide"])
+    def test_negative_chunked_block_refused(self, blocks):
+        block = next(b for b in blocks if b < 0)
+        with pytest.raises(BlockOutOfRange, match=f"^block {block} is negative$"):
+            decode_chunked(BlockSeq(blocks, CODEC_CHUNKED, 3, 1))
+        with pytest.raises(BlockOutOfRange, match=f"^block {block} is negative$"):
+            decode(BlockSeq(blocks, CODEC_CHUNKED, 3, 1))

@@ -1,6 +1,8 @@
+import functools
 import math
 import os
 import random
+from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from rsa_primer.errors import (
     OracleBoundExceeded,
     ZeroState,
 )
+from rsa_primer.keys import generate_keypair
 from rsa_primer.number_theory import (
     Rng64,
     extended_gcd,
@@ -533,14 +536,21 @@ def _serial_random_tier(n, rng):
 
 
 def _serial_gen_prime(bits, rng):
-    # gen_prime over the reference loop; every candidate of 256 bits that
-    # passes the small-prime screen reaches the random tier.
-    low = 1 << (bits - 1)
+    # gen_prime over the reference loop, from 11 bits on (past the screen's
+    # primes): a candidate that passes the small-prime screen goes to the
+    # proven bases below psi_13, which read no stream, and to the random
+    # tier from there on.
+    low, high = 1 << (bits - 1), (1 << bits) - 1
     candidate = number_theory._draw_bits(bits, rng) | low | 1
     while not (math.gcd(candidate, number_theory._SMALL_PRODUCT) == 1
-               and _serial_random_tier(candidate, rng)[0]):
-        candidate += 2
+               and (is_probable_prime(candidate) if candidate < _PSI13
+                    else _serial_random_tier(candidate, rng)[0])):
+        candidate = candidate + 2 if candidate < high else low + 1
     return candidate
+
+
+_PSI13 = 3317044064679887385961981
+_RACE_BITS = number_theory._RACE_BITS  # the line, before any test patches it
 
 
 # (2k + 1)(4k + 1) with both factors prime: about a quarter of all witnesses
@@ -596,6 +606,174 @@ class TestSplitRounds:
         work = 63 * 256 * 255  # three slices
         assert _pool.split_map(number_theory._witnesses_all, witnesses,
                                (d, r, _LIAR_N), work) == verdicts
+
+
+def _primes(gen, bits, seeds, count=2):
+    # (prime, state after it) for each seed's first count primes from gen,
+    # drawn from one stream as generate_keypair draws p and q.
+    out = []
+    for seed in seeds:
+        rng = Rng64(seed)
+        out += [(gen(bits, rng), rng.state) for _ in range(count)]
+    return out
+
+
+def _rig_search(monkeypatch, in_worker, caller_waits=False):
+    """Each prime-search walk in a worker becomes in_worker(walk, *args);
+    the caller's walks, its gap fills among them, are the real one, each
+    logged as its (k, m, end).  When caller_waits, the caller's walk 0 of a
+    race waits until a worker has set the flag, but for the one a race
+    walks alone after stop()."""
+    walk, parent, log = number_theory._search, os.getpid(), []
+
+    @functools.wraps(walk)  # the workers find it by this name
+    def rigged(start, state, bits, end, k, m, flag):
+        if os.getpid() != parent:
+            return in_worker(walk, start, state, bits, end, k, m, flag)
+        log.append((k, m, end))
+        stop = perf_counter() + 10
+        while caller_waits and k == 0 and flag is _pool._flag and not flag[0]:
+            assert perf_counter() < stop, "no worker set the flag"
+            sleep(0.001)
+        return walk(start, state, bits, end, k, m, flag)
+
+    monkeypatch.setattr(number_theory, "_search", rigged)
+    return log
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
+class TestSearchRace:
+    """gen_prime's candidate walk raced over m walks equals the serial loop:
+    the primes, and the stream's state after each."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def walks(self, request, forks, monkeypatch):
+        # every search raced, whatever its width, and every race and split
+        # over this many processes, on three idle CPUs
+        monkeypatch.setattr(number_theory, "_RACE_BITS", 4)
+        monkeypatch.setattr(_pool, "_running", lambda: 1)
+        monkeypatch.setattr(_pool, "_slices", lambda work: request.param)
+        yield request.param
+        assert len(forks) == request.param - 1
+        assert_no_children(forks)
+
+    @pytest.mark.parametrize("bits", [82, _RACE_BITS, 256])
+    def test_same_primes_and_stream(self, walks, bits):
+        seeds = range(1, 9)
+        found = _primes(gen_prime, bits, seeds)
+        assert found == _primes(_serial_gen_prime, bits, seeds)
+        if bits == 82:  # the proven tier and the random tier both
+            assert min(found)[0] < _PSI13 < max(found)[0]
+
+    # A walk from just past the last prime below psi_13: composites of the
+    # proven tier, which draw nothing, then psi_13 itself and those after
+    # it, which draw, up to the least prime above psi_13.
+    def test_a_walk_across_psi13(self, walks, monkeypatch):
+        below = next(n for n in range(_PSI13 - 2, 0, -2) if is_probable_prime(n))
+        draw = number_theory._draw_bits
+        monkeypatch.setattr(number_theory, "_draw_bits",
+                            lambda bits, rng: below + 2 if bits == 82 else draw(bits, rng))
+        rng, reference = Rng64(3), Rng64(3)
+        assert gen_prime(82, rng) == _serial_gen_prime(82, reference) == 3317044064679887385962123
+        assert rng.state == reference.state != 3
+
+    # The first candidate of a seed's search made to pass its first round
+    # (patched before any worker forks): the later rounds refuse it, and the
+    # search starts again past it with the stream where the serial loop
+    # leaves it.
+    def test_a_round_1_liar(self, walks, monkeypatch):
+        seed, calls = 5, []
+        witness = number_theory._miller_rabin_witness
+
+        def logged(a, d, r, n):
+            calls.append((a, n))
+            return witness(a, d, r, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(number_theory, "_miller_rabin_witness", logged)
+            honest = _primes(_serial_gen_prime, 256, [seed], count=1)
+        liar = calls[0]
+        assert liar[1] != honest[0][0]  # a composite, and a witness for it
+        monkeypatch.setattr(number_theory, "_miller_rabin_witness",
+                            lambda a, d, r, n: (a, n) != liar and witness(a, d, r, n))
+        lied = _primes(_serial_gen_prime, 256, [seed], count=1)
+        assert lied[0][1] != honest[0][1]
+        assert _primes(gen_prime, 256, [seed], count=1) == lied
+
+    # The same at the top of the range: the search starts again at its
+    # bottom, so the width stays exact.
+    def test_a_round_1_liar_at_the_top(self, walks, monkeypatch):
+        high = 2**97 - 1  # 11447 * 13842607235828485645766393: past the screen
+        draw, witness = number_theory._draw_bits, number_theory._miller_rabin_witness
+        first = 2 + draw(97 + 64, Rng64(2)) % (high - 3)
+        monkeypatch.setattr(number_theory, "_draw_bits",
+                            lambda bits, rng: high if bits == 97 else draw(bits, rng))
+        monkeypatch.setattr(number_theory, "_miller_rabin_witness",
+                            lambda a, d, r, n: (a, n) != (first, high) and witness(a, d, r, n))
+        rng, reference = Rng64(2), Rng64(2)
+        prime = gen_prime(97, rng)
+        assert prime == _serial_gen_prime(97, reference) < 2**96 + 2**12
+        assert rng.state == reference.state
+
+    # Workers that stop at once cover nothing: the caller walks their
+    # indices below the least found one itself.  A dead worker's walk is
+    # redone in the caller, where the hint stops it.
+    @pytest.mark.parametrize("in_worker, filled", [
+        (lambda walk, start, state, bits, end, k, m, flag: (k, None, None), True),
+        (lambda walk, *args: os._exit(1), False),
+    ], ids=["stops-at-once", "dies"])
+    def test_gaps_are_walked_by_the_caller(self, forks, monkeypatch, in_worker, filled):
+        monkeypatch.setattr(_pool, "_running", lambda: 1)
+        log = _rig_search(monkeypatch, in_worker)
+        seeds = range(1, 5)
+        assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
+        walked = {(k, m, end is None) for k, m, end in log}
+        assert {(1, 3, not filled), (2, 3, not filled)} <= walked
+        assert_no_children(forks)
+
+    # Workers that hint index 0 and stop: the caller's walk stops at its
+    # first index, no walk has a candidate, and the race drops its workers
+    # and walks alone, as walk 0 of 1.
+    def test_no_candidate_walks_alone(self, forks, monkeypatch):
+        monkeypatch.setattr(_pool, "_running", lambda: 1)
+
+        def hint_0(walk, start, state, bits, end, k, m, flag):
+            flag[0] = 1
+            return k, None, None
+
+        log = _rig_search(monkeypatch, hint_0, caller_waits=True)
+        seeds = range(1, 3)
+        assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
+        assert log[:2] == [(0, 3, None), (0, 1, None)]
+        assert log.count((0, 1, None)) == log.count((0, 3, None)) >= 4
+        assert_no_children(forks)
+
+    def test_the_line(self, forks, monkeypatch):
+        monkeypatch.setattr(_pool, "_running", lambda: 1)
+        line = number_theory._RACE_BITS
+        for seed in range(1, 9):  # just below it nothing forks, no split either
+            gen_prime(line - 1, Rng64(seed))
+        assert forks == []
+        entrants = []
+
+        def counted(fn, args, work, valid):
+            entrants.append(_pool._slices(work))
+            return [fn(*args, 0, 1, bytearray(1))]
+
+        monkeypatch.setattr(number_theory, "race", counted)
+        for bits, walks in ((line - 1, set()), (line, {2}), (256, {3})):
+            entrants.clear()
+            gen_prime(bits, Rng64(1))
+            assert set(entrants) == walks
+        assert_no_children(forks)
+
+    # The widths of the command line's keys and of crack's pools.
+    @pytest.mark.parametrize("bits", [16, 18, 28])
+    def test_small_keys_fork_nothing(self, forks, bits):
+        for seed in range(1, 6):
+            generate_keypair(bits, seed)
+        assert forks == []
+        assert_no_children(forks)
 
 
 def _is_open(fd):
