@@ -6,27 +6,26 @@ CPU the process may run on, so less than twice that stays whole.  The
 caller runs the first slice and a worker each other one.  Less work, a
 platform without fork, or a caller that runs other threads gets one slice,
 run in the caller by the same code.  ``race`` is a split over walk
-indices k = 0, ..., m - 1, one per process: the caller and up to one worker
+indices k = 0, ..., m - 1, one per process: the caller's walk and one more
 per further CPU that nothing else runs on, by Linux's count of running
 tasks in /proc/loadavg (every CPU where that cannot be read): two walks
 sharing one CPU lose to one, as racing every 28-bit crack beside one busy
 process on 2 CPUs took 1.262 times as long as walking once
-(BENCH_rho_race.json).  Each walk gets k, the entrant count m and a
-one-byte flag in an anonymous shared mmap, made before the first fork, and
-the race returns every walk's result in walk order.  What the flag says is
-the caller's: Pollard rho's walks (cipher) set it once one has a factor,
-and the others stop at their next poll; gen_prime's walks (number_theory),
-each over every m-th candidate from the k-th, write the index they stopped
-at as a hint of how far the others must go.
+(BENCH_rho_race.json).  Each walk gets k, the entrant count m and lost(),
+and the race returns every walk's result in walk order.  The one stop
+rule: lost() turns true once any walk of the race has returned, and a walk
+stops at its next poll of it.  The flag behind lost() is this module's
+alone, one byte in an anonymous shared mmap made before the first fork:
+raised as a walk returns, cleared as the race does.
 
 Workers are forked at the first split or race that needs them and kept for
 every one after.  Each job and each reply crosses its pipe as one marshal
 string, read whole, and every split and race reads the reply to each job
 it sends before it returns, so no job is in flight between calls.  A worker
 that dies or replies with anything else is dropped and its slice redone in
-the caller; in a race the flag is set by then, so a redone walk stops as
-soon as its flag says.  A race in which no result passes its check drops
-every worker and walks k = 0 of m = 1 again, alone in the caller.  An
+the caller; in a race lost() is true by then, so a redone walk stops at
+its first poll.  A race in which no result passes its check drops every
+worker and walks k = 0 of m = 1 again, alone in the caller.  An
 exception in the caller kills every worker at once.  A worker leaves on
 EOF, a forked child starts with none, and an exit handler reaps them.
 """
@@ -50,7 +49,7 @@ _FAN_OUT_WORK = 2**20
 _STRING_CUT = 2**31 - 1
 
 _workers: list = []  # (pid, its job pipe, its result pipe) per live worker
-_flag = None  # one byte shared with the workers, nonzero from a win to the race's end
+_flag = None  # one byte shared with the workers, raised from a walk's return to the race's end
 
 
 def _cpus() -> int:
@@ -113,13 +112,13 @@ def split_map(fn, values, args: tuple, work: int) -> list:
 
 
 def race(fn, args: tuple, work: int, valid) -> list:
-    # fn(*args, k, m, flag) for walks k = 0, 1, ..., m - 1, one per process,
-    # k = 0 in the caller, m up to _slices(work) and to the idle CPUs: every
-    # walk's result in walk order, or, when none passes valid, the one
+    # fn(*args, k, m, lost) for walks k = 0, 1, ..., m - 1, one per process,
+    # k = 0 in the caller, m from 1 up to _slices(work) and to the idle CPUs:
+    # every walk's result in walk order, or, when none passes valid, the one
     # result of walk 0 of 1 run alone.  A worker finds fn by module and name.
     walks = _slices(work)
     if walks > 1:
-        walks = min(walks, _cpus() - _running() + 1)
+        walks = max(1, min(walks, _cpus() - _running() + 1))
     results = split_map(_enter, list(range(walks)), (fn.__module__, fn.__name__, walks, *args),
                         work)
     if _flag is not None:
@@ -127,16 +126,20 @@ def race(fn, args: tuple, work: int, valid) -> list:
     if any(map(valid, results)):
         return results
     stop()  # no worker's result is to be trusted
-    return [fn(*args, 0, 1, bytearray(1))]
+    return [fn(*args, 0, 1, lambda: False)]
 
 
 def _enter(ks: list, module: str, name: str, m: int, *args) -> list:
-    # Walks ks of a race of m, one after another, sharing the flag.  With no
-    # worker forked since the last stop() there is no shared flag, and the
-    # caller's walks share one of their own.
+    # Walks ks of a race of m, one after another, each lost once any walk
+    # has returned.  With no worker forked since the last stop() there is no
+    # shared flag, and the caller's walks share one of their own.
     fn = getattr(sys.modules[module], name)
     flag = bytearray(1) if _flag is None else _flag
-    return [fn(*args, k, m, flag) for k in ks]
+    results = []
+    for k in ks:
+        results.append(fn(*args, k, m, lambda: flag[0] != 0))
+        flag[0] = 1
+    return results
 
 
 def _write(file, message) -> None:

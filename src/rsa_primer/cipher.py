@@ -272,24 +272,17 @@ def _pollard_rho_factor(n: int, deadline: float | None) -> int:
     def valid(f):
         return type(f) is int and 1 < f < n and n % f == 0
 
-    return next(filter(valid, race(_rho_entrant, (n, deadline),
+    return next(filter(valid, race(_rho_walk, (n, deadline),
                                    math.isqrt(math.isqrt(n)) * _RHO_STEP_WORK, valid)))
 
 
-def _rho_entrant(n: int, deadline: float | None, walk: int, walks: int, flag) -> int | None:
-    # Walk `walk` of a race: lost once the flag is set, which any result sets.
-    f = _rho_walk(n, deadline, walk, lambda: flag[0] != 0)
-    if f is not None:
-        flag[0] = 1
-    return f
-
-
-def _rho_walk(n: int, deadline: float | None, walk: int,
+def _rho_walk(n: int, deadline: float | None, walk: int, walks: int,
               lost: Callable[[], bool]) -> int | None:
-    # Brent's cycle finding on x -> x^2 + c mod n from y = 2, c = 2 * walk + 1
-    # (c + 1 after a cycle with no factor).  The clock and lost() are read
-    # once per _RHO_POLL_EVERY single steps and per gcd batch; None once
-    # lost() is true.
+    # Walk `walk` of a race of `walks`, which it does not read: Brent's cycle
+    # finding on x -> x^2 + c mod n from y = 2, c = 2 * walk + 1 (c + 1 after
+    # a cycle with no factor).  The clock and lost() are read once per
+    # _RHO_POLL_EVERY single steps and per gcd batch; None once lost() is
+    # true.
     # Within a 128-step gcd batch q takes the differences x - y four at a
     # time and is reduced mod n once per four; q stays +- the product of the
     # |x - y| mod n, so every gcd is the one a reduction per step gives.

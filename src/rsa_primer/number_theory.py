@@ -432,18 +432,16 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     the serial loop would: a random-tier candidate draws its first witness
     where the serial loop draws it once every earlier candidate has failed
     its first round, so a walk also draws, and drops, the witness of each
-    random-tier candidate not its own.  A walk that stops on a candidate
-    writes its index mod 255, plus 1, into the race's flag; each other walk
-    then stops at its first own index past the nearest index with that
-    residue.  The caller takes the least index any walk stopped on, walks
-    on itself from where each walk stopped short of it, and takes the least
-    again: every index below that one failed its first round, so its
-    witness, and the stream before it, are the serial loop's.  Below psi_13
-    that candidate is prime; from there on ``is_probable_prime`` tests it
-    again from that state, and a composite leaves the stream where the
-    serial loop does, and the search starts again past it.  So the primes
-    and the stream after each are the serial loop's, whatever the number of
-    walks, the hint or the timing.
+    random-tier candidate not its own.  Once one walk returns, each other
+    stops at its next own index (``_pool``'s stop rule).  The caller takes
+    the least index any walk stopped on, walks on itself from where each
+    walk stopped short of it, and takes the least again: every index below
+    that one failed its first round, so its witness, and the stream before
+    it, are the serial loop's.  Below psi_13 that candidate is prime; from
+    there on ``is_probable_prime`` tests it again from that state, and a
+    composite leaves the stream where the serial loop does, and the search
+    starts again past it.  So the primes and the stream after each are the
+    serial loop's, whatever the number of walks or the timing.
     """
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
@@ -453,16 +451,16 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     candidate = _draw_bits(bits, rng) | low | 1
     while True:
         state = rng.state
-        args = (candidate, state, bits, None)
+        args = (candidate, state, bits)
         if bits < _RACE_BITS:
-            walks = [_search(*args, 0, 1, bytearray(1))]
+            walks = [_search(*args, None, 0, 1, lambda: False)]
         else:  # as many walks as the other rounds of a candidate split into
-            walks = race(_search, args, (_RANDOM_ROUNDS - 1) * bits * bits,
+            walks = race(_search, (*args, None), (_RANDOM_ROUNDS - 1) * bits * bits,
                          lambda walk: walk[1] is not None)
         least = min(index for index, found, _ in walks if found is not None)
         for k, (index, found, _) in enumerate(walks):
-            if index < least:  # stopped by a hint, short of the least
-                walks[k] = _search(candidate, state, bits, least, index, len(walks), bytearray(1))
+            if index < least:  # stopped short of the least
+                walks[k] = _search(*args, least, index, len(walks), lambda: False)
         _, candidate, rng.state = min(walk for walk in walks if walk[1] is not None)
         # below psi_13 the walk's first round was the whole proven test
         if candidate < _PSI[-1] or is_probable_prime(candidate, rng):
@@ -471,22 +469,20 @@ def gen_prime(bits: int, rng: Rng64) -> int:
 
 
 def _search(start: int, state: int, bits: int, end: int | None, k: int, m: int,
-            flag) -> tuple[int, int | None, int | None]:
+            lost) -> tuple[int, int | None, int | None]:
     # Walk k of m over the candidates the screen leaves from start on, with
     # the stream at state before the first: the first own index, up to end,
     # that the first round does not prove composite, as (index, candidate,
     # the stream's state before its draw), or (index, None, None) for the
-    # index it stopped at, by end or by the hint in flag[0], every own index
-    # below it tested.
+    # own index it stopped at, by end or once lost(), every own index below
+    # it tested.
     rng = Rng64(state)
     for index, (n, verdict) in enumerate(_open_candidates(start, bits)):
         if index == k:
-            hint = flag[0]
-            if end is not None and index >= end or hint and not 0 < (hint - 1 - index) % 255 < 128:
+            if end is not None and index >= end or lost():
                 return index, None, None
             before = rng.state
             if verdict or _first_round(n, rng):
-                flag[0] = index % 255 + 1
                 return index, n, before
             k += m
         elif verdict is None and n >= _PSI[-1]:

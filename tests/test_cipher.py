@@ -45,7 +45,7 @@ from rsa_primer.errors import (
     NotSemiprime,
 )
 from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
-from rsa_primer.number_theory import is_probable_prime, mod_pow
+from rsa_primer.number_theory import Rng64, gen_prime, is_probable_prime, mod_pow
 
 GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
@@ -811,30 +811,31 @@ class TestCrackPrivateKey:
 
 def _rig_walks(monkeypatch, worker_walk, caller_waits=False):
     """Each rho walk in a worker becomes worker_walk(walk, n, deadline, k,
-    lost); every walk in the caller, a dropped worker's redone too, is the
-    real one.  When caller_waits, the caller's walks wait until a worker
-    has set the flag, but for the one a race walks alone after stop()."""
+    m, lost); every walk in the caller, a dropped worker's redone too, is
+    the real one.  When caller_waits, the caller's walks wait until a
+    worker's walk has returned, but for the one a race walks alone after
+    stop()."""
     walk, parent = cipher._rho_walk, os.getpid()
 
     @functools.wraps(walk)  # the workers find it by this name
-    def rigged(n, deadline, k, lost):
+    def rigged(n, deadline, k, m, lost):
         if os.getpid() != parent:
-            return worker_walk(walk, n, deadline, k, lost)
+            return worker_walk(walk, n, deadline, k, m, lost)
         end = perf_counter() + 10
         while caller_waits and _pool._flag is not None and not _pool._flag[0]:
-            assert perf_counter() < end, "no worker set the flag"
+            assert perf_counter() < end, "no worker's walk returned"
             sleep(0.001)
-        return walk(n, deadline, k, lost)
+        return walk(n, deadline, k, m, lost)
 
     monkeypatch.setattr(cipher, "_rho_walk", rigged)
 
 
-def _exit_mid_race(walk, n, deadline, k, lost):
-    return walk(n, deadline, k, lambda: os._exit(1))
+def _exit_mid_race(walk, n, deadline, k, m, lost):
+    return walk(n, deadline, k, m, lambda: os._exit(1))
 
 
-def _exit_mid_race_on_walk_1(walk, n, deadline, k, lost):
-    return walk(n, deadline, k, lambda: os._exit(1) if k == 1 else lost())
+def _exit_mid_race_on_walk_1(walk, n, deadline, k, m, lost):
+    return walk(n, deadline, k, m, lambda: os._exit(1) if k == 1 else lost())
 
 
 def _log_walks(monkeypatch):
@@ -842,18 +843,18 @@ def _log_walks(monkeypatch):
     walk, walks = cipher._rho_walk, []
 
     @functools.wraps(walk)
-    def logged(n, deadline, k, lost):
-        walks.append((k, walk(n, deadline, k, lost)))
+    def logged(n, deadline, k, m, lost):
+        walks.append((k, walk(n, deadline, k, m, lost)))
         return walks[-1][1]
 
     monkeypatch.setattr(cipher, "_rho_walk", logged)
     return walks
 
 
-def _walk_until_lost(walk, n, deadline, k, lost):
+def _walk_until_lost(walk, n, deadline, k, m, lost):
     end = perf_counter() + 10
     while not lost():
-        assert perf_counter() < end, "the caller never set the flag"
+        assert perf_counter() < end, "the caller's walk never returned"
         sleep(0.001)
 
 
@@ -876,12 +877,24 @@ class TestRhoRace:
         assert_no_children()
 
     # Three walks on three CPUs share them with whatever else runs there.
+    # However busy the host, the caller walks, and the workers an earlier
+    # split forked stay for the next: a rho race and a 256-bit search drop
+    # none of them.
     @pytest.mark.parametrize("running, walks", [(1, 3), (2, 2), (3, 1), (9, 1)])
     def test_walks_only_on_idle_cpus(self, forks, monkeypatch, running, walks):
         monkeypatch.setattr(_pool, "_running", lambda: running)
         kp = generate_keypair(24, 13)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         assert len(forks) == walks - 1
+        assert is_probable_prime(2**256 - 189)  # a split over three processes
+        pooled = [pid for pid, _, _ in _pool._workers]
+        assert len(pooled) == 2
+        assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
+        rng = Rng64(1)
+        assert gen_prime(256, rng).bit_length() == 256
+        assert rng.state == 0x70D0E7320CB9056  # the serial loop's, as test_number_theory pins
+        assert [pid for pid, _, _ in _pool._workers] == pooled
+        assert len(forks) == 2
         assert_no_children(forks)
 
     def test_running_counts_this_process(self, monkeypatch):
@@ -984,24 +997,24 @@ class TestRhoRace:
         assert len(forks) == 4
         assert_no_children(forks)
 
-    # A dead worker's walk is redone in the caller once the flag is set: it
-    # stops at its first poll, one step in.
+    # A dead worker's walk is redone in the caller once walk 0 has returned:
+    # it stops at its first poll, one step in.
     def test_a_dropped_walk_is_redone_in_the_caller(self, forks, monkeypatch):
         walk, parent, redone = cipher._rho_walk, os.getpid(), []
 
         @functools.wraps(walk)
-        def rigged(n, deadline, k, lost):
+        def rigged(n, deadline, k, m, lost):
             if os.getpid() != parent:
-                return _exit_mid_race(walk, n, deadline, k, lost)
+                return _exit_mid_race(walk, n, deadline, k, m, lost)
             if k == 0:
-                return walk(n, deadline, k, lost)
+                return walk(n, deadline, k, m, lost)
             polls = []
 
             def polled():
                 polls.append(lost())
                 return polls[-1]
 
-            redone.append((k, walk(n, deadline, k, polled), polls))
+            redone.append((k, walk(n, deadline, k, m, polled), polls))
             return redone[-1][1]
 
         monkeypatch.setattr(cipher, "_rho_walk", rigged)
@@ -1082,8 +1095,8 @@ class TestRhoRace:
         walk, p = cipher._rho_walk, kp.private.crt[0]
 
         @functools.wraps(walk)
-        def rigged(n, deadline, k, lost):
-            return walk(n, deadline, k, lost) if k else p
+        def rigged(n, deadline, k, m, lost):
+            return walk(n, deadline, k, m, lost) if k else p
 
         monkeypatch.setattr(cipher, "_rho_walk", rigged)
         assert crack_private_key(kp.public, POLLARD_RHO, 20.0).d == kp.private.d
@@ -1105,8 +1118,8 @@ class TestRhoRace:
             raise RuntimeError("the caller's walk failed")
 
         @functools.wraps(walk)
-        def rigged(n, deadline, k, lost):
-            return walk(n, deadline, k, failing if k == 0 else lost)
+        def rigged(n, deadline, k, m, lost):
+            return walk(n, deadline, k, m, failing if k == 0 else lost)
 
         monkeypatch.setattr(cipher, "_rho_walk", rigged)
         pk = generate_keypair(64, 31337).public

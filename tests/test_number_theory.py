@@ -622,23 +622,38 @@ def _rig_search(monkeypatch, in_worker, caller_waits=False):
     """Each prime-search walk in a worker becomes in_worker(walk, *args);
     the caller's walks, its gap fills among them, are the real one, each
     logged as its (k, m, end).  When caller_waits, the caller's walk 0 of a
-    race waits until a worker has set the flag, but for the one a race
+    race waits until a worker's walk has returned, but for the one a race
     walks alone after stop()."""
     walk, parent, log = number_theory._search, os.getpid(), []
 
     @functools.wraps(walk)  # the workers find it by this name
-    def rigged(start, state, bits, end, k, m, flag):
+    def rigged(start, state, bits, end, k, m, lost):
         if os.getpid() != parent:
-            return in_worker(walk, start, state, bits, end, k, m, flag)
+            return in_worker(walk, start, state, bits, end, k, m, lost)
         log.append((k, m, end))
         stop = perf_counter() + 10
-        while caller_waits and k == 0 and flag is _pool._flag and not flag[0]:
-            assert perf_counter() < stop, "no worker set the flag"
+        while caller_waits and (k, end) == (0, None) and m > 1 and not lost():
+            assert perf_counter() < stop, "no worker's walk returned"
             sleep(0.001)
-        return walk(start, state, bits, end, k, m, flag)
+        return walk(start, state, bits, end, k, m, lost)
 
     monkeypatch.setattr(number_theory, "_search", rigged)
     return log
+
+
+def _wait_until_lost(lost):
+    # Until another walk of the race has returned: a real walk stops with no
+    # candidate only then.
+    stop = perf_counter() + 10
+    while not lost():
+        assert perf_counter() < stop, "no other walk returned"
+        sleep(0.001)
+
+
+def _covers_nothing(walk, start, state, bits, end, k, m, lost):
+    # A worker's walk that tests none of its indices.
+    _wait_until_lost(lost)
+    return k, None, None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
@@ -715,11 +730,11 @@ class TestSearchRace:
         assert prime == _serial_gen_prime(97, reference) < 2**96 + 2**12
         assert rng.state == reference.state
 
-    # Workers that stop at once cover nothing: the caller walks their
-    # indices below the least found one itself.  A dead worker's walk is
-    # redone in the caller, where the hint stops it.
+    # Workers that cover nothing: the caller walks their indices below the
+    # least found one itself.  A dead worker's walk is redone in the
+    # caller, where lost() stops it at once.
     @pytest.mark.parametrize("in_worker, filled", [
-        (lambda walk, start, state, bits, end, k, m, flag: (k, None, None), True),
+        (_covers_nothing, True),
         (lambda walk, *args: os._exit(1), False),
     ], ids=["stops-at-once", "dies"])
     def test_gaps_are_walked_by_the_caller(self, forks, monkeypatch, in_worker, filled):
@@ -731,17 +746,36 @@ class TestSearchRace:
         assert {(1, 3, not filled), (2, 3, not filled)} <= walked
         assert_no_children(forks)
 
-    # Workers that hint index 0 and stop: the caller's walk stops at its
-    # first index, no walk has a candidate, and the race drops its workers
-    # and walks alone, as walk 0 of 1.
+    # Worker walks that stop early, each at an own index of its own: the
+    # first own index from hash((start, k)) % 8 own steps on, unless a
+    # candidate comes first.  Each race keeps a candidate and its workers,
+    # and gaps fall anywhere below the least index found: the caller's fills
+    # give the serial loop's primes and stream.
+    @pytest.mark.parametrize("walks", [2, 3], indirect=True)
+    def test_walks_stopped_anywhere(self, walks, monkeypatch):
+        def stops_early(walk, start, state, bits, end, k, m, lost):
+            found = walk(start, state, bits, k + m * (hash((start, k)) % 8), k, m, lost)
+            if found[1] is None:
+                _wait_until_lost(lost)
+            return found
+
+        log = _rig_search(monkeypatch, stops_early)
+        for bits, seeds in ((82, range(1, 5)), (128, [1, 2]), (_RACE_BITS, [1, 2]),
+                            (256, [1, 2])):
+            assert _primes(gen_prime, bits, seeds) == _primes(_serial_gen_prime, bits, seeds)
+        assert any(end is not None for _, _, end in log)  # the caller filled gaps
+
+    # Workers that stop at once, and a caller's walk that starts once one of
+    # them has returned: it stops at its first index, no walk has a
+    # candidate, and the race drops its workers and walks alone, as walk 0
+    # of 1.
     def test_no_candidate_walks_alone(self, forks, monkeypatch):
         monkeypatch.setattr(_pool, "_running", lambda: 1)
 
-        def hint_0(walk, start, state, bits, end, k, m, flag):
-            flag[0] = 1
+        def stops_at_once(walk, start, state, bits, end, k, m, lost):
             return k, None, None
 
-        log = _rig_search(monkeypatch, hint_0, caller_waits=True)
+        log = _rig_search(monkeypatch, stops_at_once, caller_waits=True)
         seeds = range(1, 3)
         assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
         assert log[:2] == [(0, 3, None), (0, 1, None)]
@@ -758,7 +792,7 @@ class TestSearchRace:
 
         def counted(fn, args, work, valid):
             entrants.append(_pool._slices(work))
-            return [fn(*args, 0, 1, bytearray(1))]
+            return [fn(*args, 0, 1, lambda: False)]
 
         monkeypatch.setattr(number_theory, "race", counted)
         for bits, walks in ((line - 1, set()), (line, {2}), (256, {3})):
