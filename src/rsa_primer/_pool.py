@@ -2,17 +2,22 @@
 
 ``split_map`` cuts work (values times the bit lengths of the modulus and the
 exponent) into contiguous slices, one per _FAN_OUT_WORK and at most one per
-CPU the process may run on, so less than twice that stays whole.  The
-caller runs the first slice and a worker each other one.  Less work, a
-platform without fork, or a caller that runs other threads gets one slice,
-run in the caller by the same code.  ``race`` is a split over walk
+CPU the process may run on.  The caller runs the first slice and a worker
+each other one.  Less than twice _FAN_OUT_WORK (then no CPU count is read),
+a platform without fork, or a caller that runs other threads gets one
+slice, run in the caller by the same code.  ``race`` is a split over walk
 indices k = 0, ..., m - 1, one per process: the caller's walk and one more
 per further CPU that nothing else runs on, by Linux's count of running
 tasks in /proc/loadavg (every CPU where that cannot be read): two walks
 sharing one CPU lose to one, as racing every 28-bit crack beside one busy
 process on 2 CPUs took 1.262 times as long as walking once
 (BENCH_rho_race.json).  Each walk gets k, the entrant count m and lost(),
-and the race returns every walk's result in walk order.  The one stop
+and the race returns every walk's result in walk order.  Granted fewer
+than two walks, or with no result that passes its check (then every
+worker is dropped), a race is walk 0 of 1 alone in the caller, and lost()
+stays false.  The race line: the prime search weighs a walk at 63 bits^2
+and races from 183 bits on (63 * 182^2 < 2 * 2^20 <= 63 * 183^2); Pollard
+rho weighs one at 2^11 n^(1/4) and races from n >= 2^40.  The one stop
 rule: lost() turns true once any walk of the race has returned, and a walk
 stops at its next poll of it.  The flag behind lost() is this module's
 alone, one byte in an anonymous shared mmap made before the first fork:
@@ -24,10 +29,9 @@ string, read whole, and every split and race reads the reply to each job
 it sends before it returns, so no job is in flight between calls.  A worker
 that dies or replies with anything else is dropped and its slice redone in
 the caller; in a race lost() is true by then, so a redone walk stops at
-its first poll.  A race in which no result passes its check drops every
-worker and walks k = 0 of m = 1 again, alone in the caller.  An
-exception in the caller kills every worker at once.  A worker leaves on
-EOF, a forked child starts with none, and an exit handler reaps them.
+its first poll.  An exception in the caller kills every worker at once.  A
+worker leaves on EOF, a forked child starts with none, and an exit handler
+reaps them.
 """
 
 import atexit
@@ -60,10 +64,10 @@ def _cpus() -> int:
 
 def _slices(work: int) -> int:
     # One process per _FAN_OUT_WORK, at most one per CPU the process may use;
-    # one without fork, or while other threads run (3.12 warns on that fork).
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    # one below two, without fork, or while other threads run (3.12 warns).
+    if work < 2 * _FAN_OUT_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(_cpus(), work // _FAN_OUT_WORK))
+    return min(_cpus(), work // _FAN_OUT_WORK)
 
 
 def _running() -> int:
@@ -112,20 +116,20 @@ def split_map(fn, values, args: tuple, work: int) -> list:
 
 
 def race(fn, args: tuple, work: int, valid) -> list:
-    # fn(*args, k, m, lost) for walks k = 0, 1, ..., m - 1, one per process,
-    # k = 0 in the caller, m from 1 up to _slices(work) and to the idle CPUs:
-    # every walk's result in walk order, or, when none passes valid, the one
-    # result of walk 0 of 1 run alone.  A worker finds fn by module and name.
+    # fn(*args, k, m, lost) for walks k = 0, ..., m - 1, m up to _slices(work)
+    # and the idle CPUs: every result in walk order, or walk 0 of 1's alone
+    # when m < 2 or none passes valid.  A worker finds fn by module and name.
     walks = _slices(work)
     if walks > 1:
-        walks = max(1, min(walks, _cpus() - _running() + 1))
-    results = split_map(_enter, list(range(walks)), (fn.__module__, fn.__name__, walks, *args),
-                        work)
-    if _flag is not None:
-        _flag[0] = 0  # every reply is read: no walk polls it now
-    if any(map(valid, results)):
-        return results
-    stop()  # no worker's result is to be trusted
+        walks = min(walks, _cpus() - _running() + 1)
+    if walks > 1:
+        results = split_map(_enter, list(range(walks)),
+                            (fn.__module__, fn.__name__, walks, *args), work)
+        if _flag is not None:
+            _flag[0] = 0  # every reply is read: no walk polls it now
+        if any(map(valid, results)):
+            return results
+        stop()  # no worker's result is to be trusted
     return [fn(*args, 0, 1, lambda: False)]
 
 

@@ -13,10 +13,10 @@ The attack half recovers a private key from a public one by factoring n,
 either by trial division (:func:`smallest_factor`: didactic, obviously
 correct) or Pollard rho with Brent cycle detection (scales far enough to
 make timing curves interesting).  A rho walk takes about n^(1/4) steps,
-so from n >= 2^40 on rho races one walk per idle CPU through
-``_pool.race``: the caller's is the walk a serial run takes
-(x -> x^2 + 1 from 2), each worker's another polynomial, and the first
-factor found wins.  Independent walks on m CPUs find a factor up to
+so from the race line in ``_pool``'s docstring on, rho races one walk per
+idle CPU through ``_pool.race``: the caller's is the walk a serial run
+takes (x -> x^2 + 1 from 2), each worker's another polynomial, and the
+first factor found wins.  Independent walks on m CPUs find a factor up to
 sqrt(m) times sooner (Brent 1990; van Oorschot and Wiener 1999).  The
 report is the same whichever walk wins; only ``elapsed`` differs.  Smaller
 keys, those of the command-line benchmark, the demo and the worked example
@@ -177,10 +177,6 @@ class CrackTrial(Record):
     solved: bool
 
 
-def _deadline_passed(deadline: float | None) -> bool:
-    return deadline is not None and perf_counter() > deadline
-
-
 # Trial division divides by a table of the primes below a power of two,
 # built from number_theory's sieve the first time a call needs it and
 # replaced, never mutated, by one up to the next power of two above
@@ -245,7 +241,7 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
                 return f
             if n % (f + 2) == 0:
                 return f + 2
-        if _deadline_passed(deadline):
+        if deadline is not None and perf_counter() > deadline:
             raise CrackTimeout(f"trial division still running at f = {start + chunk}")
     return n
 
@@ -253,7 +249,7 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
 _RHO_GROUP = 4  # steps per reduction of q; no abs(x - y), as gcd(-a, n) = gcd(a, n)
 _RHO_POLL_EVERY = 1024  # single steps between reads of the clock and of lost()
 # The work of one rho step as _pool._slices weighs it, which sets the race
-# line of the module docstring.  Raced over serial mean time, two walks
+# line in _pool's docstring.  Raced over serial mean time, two walks
 # against one on 200-400 keys a width (a shared 2-vCPU x86 VM, CPython 3.11;
 # CHANGES.md line 43): 1.23 at 14-bit primes, 0.98 at 16, 0.92 at 18, 0.88
 # at 20, 0.77 at 28.
@@ -280,9 +276,8 @@ def _rho_walk(n: int, deadline: float | None, walk: int, walks: int,
               lost: Callable[[], bool]) -> int | None:
     # Walk `walk` of a race of `walks`, which it does not read: Brent's cycle
     # finding on x -> x^2 + c mod n from y = 2, c = 2 * walk + 1 (c + 1 after
-    # a cycle with no factor).  The clock and lost() are read once per
-    # _RHO_POLL_EVERY single steps and per gcd batch; None once lost() is
-    # true.
+    # a cycle with no factor).  _rho_stops polls lost() and the clock once per
+    # _RHO_POLL_EVERY single steps and per gcd batch; None once lost().
     # Within a 128-step gcd batch q takes the differences x - y four at a
     # time and is reduced mod n once per four; q stays +- the product of the
     # |x - y| mod n, so every gcd is the one a reduction per step gives.
@@ -294,10 +289,8 @@ def _rho_walk(n: int, deadline: float | None, walk: int, walks: int,
             for done in range(0, r, _RHO_POLL_EVERY):
                 for _ in range(min(_RHO_POLL_EVERY, r - done)):
                     y = (y * y + c) % n
-                if lost():
+                if _rho_stops(lost, deadline, r):
                     return None
-                if _deadline_passed(deadline):
-                    raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -313,10 +306,8 @@ def _rho_walk(n: int, deadline: float | None, walk: int, walks: int,
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
-                if lost():
+                if _rho_stops(lost, deadline, r):
                     return None
-                if _deadline_passed(deadline):
-                    raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
             r <<= 1
         if g == n:
             # The batched gcd overshot; replay single steps from the last
@@ -328,6 +319,15 @@ def _rho_walk(n: int, deadline: float | None, walk: int, walks: int,
         if g != n:
             return g
         c += 1
+
+
+def _rho_stops(lost: Callable[[], bool], deadline: float | None, r: int) -> bool:
+    # A rho walk's poll: True once lost(), then CrackTimeout past deadline.
+    if lost():
+        return True
+    if deadline is not None and perf_counter() > deadline:
+        raise CrackTimeout(f"pollard-rho still cycling at r = {r}")
+    return False
 
 
 _FACTOR_METHODS = {

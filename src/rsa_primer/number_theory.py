@@ -16,7 +16,8 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from operator import countOf
 
 from ._pool import race, split_map
 from .errors import (
@@ -262,7 +263,7 @@ def totient_bruteforce(n: int) -> int:
         raise OracleBoundExceeded(
             f"totient oracle bounded at {TOTIENT_ORACLE_BOUND}, got {_decimal(n)}"
         )
-    return sum(1 for x in range(1, n) if math.gcd(x, n) == 1)
+    return countOf(map(math.gcd, range(1, n), repeat(n)), 1)
 
 
 def _sieve(limit: int) -> Iterator[int]:
@@ -299,14 +300,6 @@ _PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RANDOM_ROUNDS = 64
 _DEFAULT_WITNESS_SEED = 0x9E3779B97F4A7C15
-# The least prime width at which gen_prime races its walk: where the other
-# 63 rounds of a candidate start to split, so no narrower search forks.
-# Raced over serial time, two walks against one on the primes of seeds
-# 1-60 to 1-100, medians of 10-16 alternating rounds a width (a shared
-# 2-vCPU x86 VM, CPython 3.11; BENCH_prime_search.json): 1.14 at 128 bits,
-# 1.13 at 160, 0.97-1.14 at 176, 0.95-1.04 at 182, 0.97-1.09 at 183,
-# 0.93-0.97 at 184, 0.93-0.95 at 188, 0.91-0.94 at 192, 0.88 at 256.
-_RACE_BITS = 183
 
 
 def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:
@@ -341,9 +334,9 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     none, keeping verdicts reproducible); only this tier reads ``rng``.
     Once the first round passes, the other 63 witnesses are drawn at once
     and their rounds go through ``_pool.split_map``, which splits them from
-    about 183 bits on; the verdict and the stream's state afterwards are
-    those of the rounds run in order up to the first witness that proves n
-    composite.
+    about the prime search's race line on (``_pool``'s docstring); the
+    verdict and the stream's state afterwards are those of the rounds run
+    in order up to the first witness that proves n composite.
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
@@ -423,25 +416,25 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     given stream state.  Before any draw, a width below 4 raises
     :class:`BitsTooSmall`, one too wide for ``str()`` :class:`KeyTooLarge`.
 
-    From ``_RACE_BITS`` = 183 bits on the walk is a ``_pool.race`` over the
-    CPUs the pool grants; below, the caller runs it as walk 0 of 1.
-    Number the candidates the small-prime screen leaves 0, 1, 2, ... in
-    walk order.  Walk k of m takes k, k + m, k + 2m, ... and stops at the
-    first one that Miller-Rabin's first round (below psi_13, the whole
-    proven tier) does not prove composite.  Each walk keeps the stream as
-    the serial loop would: a random-tier candidate draws its first witness
-    where the serial loop draws it once every earlier candidate has failed
-    its first round, so a walk also draws, and drops, the witness of each
-    random-tier candidate not its own.  Once one walk returns, each other
-    stops at its next own index (``_pool``'s stop rule).  The caller takes
-    the least index any walk stopped on, walks on itself from where each
-    walk stopped short of it, and takes the least again: every index below
-    that one failed its first round, so its witness, and the stream before
-    it, are the serial loop's.  Below psi_13 that candidate is prime; from
-    there on ``is_probable_prime`` tests it again from that state, and a
-    composite leaves the stream where the serial loop does, and the search
-    starts again past it.  So the primes and the stream after each are the
-    serial loop's, whatever the number of walks or the timing.
+    The walk is a ``_pool.race`` over the CPUs the pool grants: one walk,
+    alone, below the race line in ``_pool``'s docstring.  Number the
+    candidates the small-prime screen leaves 0, 1, 2, ... in walk order.
+    Walk k of m takes k, k + m, k + 2m, ... and stops at the first one that
+    Miller-Rabin's first round (below psi_13, the whole proven tier) does
+    not prove composite.  Each walk keeps the stream as the serial loop
+    would: a random-tier candidate draws its first witness where the serial
+    loop draws it once every earlier candidate has failed its first round,
+    so a walk also draws, and drops, the witness of each random-tier
+    candidate not its own.  Once one walk returns, each other stops at its
+    next own index (``_pool``'s stop rule).  The caller takes the least index
+    any walk stopped on, walks on itself from where each walk stopped short
+    of it, and takes the least again: every index below that one failed its
+    first round, so its witness, and the stream before it, are the serial
+    loop's.  Below psi_13 that candidate is prime; from there on
+    ``is_probable_prime`` tests it again from that state, and a composite
+    leaves the stream where the serial loop does, and the search starts
+    again past it.  So the primes and the stream after each are the serial
+    loop's, whatever the number of walks or the timing.
     """
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
@@ -450,13 +443,15 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     high = (1 << bits) - 1
     candidate = _draw_bits(bits, rng) | low | 1
     while True:
-        state = rng.state
-        args = (candidate, state, bits)
-        if bits < _RACE_BITS:
-            walks = [_search(*args, None, 0, 1, lambda: False)]
-        else:  # as many walks as the other rounds of a candidate split into
-            walks = race(_search, (*args, None), (_RANDOM_ROUNDS - 1) * bits * bits,
-                         lambda walk: walk[1] is not None)
+        args = (candidate, rng.state, bits)
+        # As many walks as a candidate's other rounds split into.  Two walks
+        # over one, raced over serial time on the primes of seeds 1-60 to
+        # 1-100 (medians of 10-16 alternating rounds, a shared 2-vCPU x86 VM,
+        # CPython 3.11; BENCH_prime_search.json): 1.14 at 128 bits, 1.13 at
+        # 160, 0.97-1.14 at 176, 0.95-1.04 at 182, 0.97-1.09 at 183,
+        # 0.93-0.97 at 184, 0.93-0.95 at 188, 0.91-0.94 at 192, 0.88 at 256.
+        walks = race(_search, (*args, None), (_RANDOM_ROUNDS - 1) * bits * bits,
+                     lambda walk: walk[1] is not None)
         least = min(index for index, found, _ in walks if found is not None)
         for k, (index, found, _) in enumerate(walks):
             if index < least:  # stopped short of the least

@@ -152,7 +152,20 @@ class TestBlockTransform:
                 assert mod_pow(m, kp.public.e * kp.private.d, kp.public.n) == m
 
 
+def _roundtrip_all(blocks: list, e: int, n: int, d: int, crt: tuple) -> list:
+    # A slice of test_roundtrip_every_block, under keys with these fields:
+    # each block, encrypted, decrypts to itself by CRT and by d alone.  A
+    # failed assertion ends a worker, and its slice is redone in the caller.
+    public, with_pq, plain = PublicKey(e, n), PrivateKey(d, n, crt), PrivateKey(d, n)
+    for m in blocks:
+        c = encrypt_block(m, public)
+        assert decrypt_block(c, with_pq) == m
+        assert decrypt_block(c, plain) == m
+    return [None] * len(blocks)
+
+
 class TestCrtDecryption:
+    # Every block of the key, split across the pool like a message's.
     @pytest.mark.parametrize(
         "p, q, e", [(2, 7, 5), (3, 5, 3), (11, 13, 113), (1721, 1801, 1012333)]
     )
@@ -160,10 +173,11 @@ class TestCrtDecryption:
         with_pq = keypair_from_primes(p, q, e, retain_provenance=True)
         plain = keypair_from_primes(p, q, e)
         assert with_pq.private.crt is not None and plain.private.crt is None
-        for m in range(p * q):
-            c = encrypt_block(m, plain.public)
-            assert decrypt_block(c, with_pq.private) == m
-            assert decrypt_block(c, plain.private) == m
+        n, d = plain.public.n, plain.private.d
+        blocks = list(range(p * q))
+        work = len(blocks) * n.bit_length() * d.bit_length()
+        assert _pool.split_map(_roundtrip_all, blocks, (e, n, d, with_pq.private.crt),
+                               work) == [None] * len(blocks)
 
     @given(st.integers(8, 64), st.integers(1, 2**64 - 1), st.data())
     def test_matches_plain_exponent(self, bits, seed, data):

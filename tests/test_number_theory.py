@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_no_children, wait_status
 from rsa_primer import _pool, number_theory
+from rsa_primer.cipher import POLLARD_RHO, crack_private_key
 from rsa_primer.errors import (
     BitsTooSmall,
     BothZero,
@@ -550,7 +551,10 @@ def _serial_gen_prime(bits, rng):
 
 
 _PSI13 = 3317044064679887385961981
-_RACE_BITS = number_theory._RACE_BITS  # the line, before any test patches it
+# The least width whose search races: where the other rounds of one
+# candidate, 63 bits^2, weigh two slices' work.
+_RACE_LINE = next(bits for bits in range(4, 4096)
+                  if (number_theory._RANDOM_ROUNDS - 1) * bits * bits >= 2 * _pool._FAN_OUT_WORK)
 
 
 # (2k + 1)(4k + 1) with both factors prime: about a quarter of all witnesses
@@ -665,14 +669,13 @@ class TestSearchRace:
     def walks(self, request, forks, monkeypatch):
         # every search raced, whatever its width, and every race and split
         # over this many processes, on three idle CPUs
-        monkeypatch.setattr(number_theory, "_RACE_BITS", 4)
         monkeypatch.setattr(_pool, "_running", lambda: 1)
         monkeypatch.setattr(_pool, "_slices", lambda work: request.param)
         yield request.param
         assert len(forks) == request.param - 1
         assert_no_children(forks)
 
-    @pytest.mark.parametrize("bits", [82, _RACE_BITS, 256])
+    @pytest.mark.parametrize("bits", [82, _RACE_LINE, 256])
     def test_same_primes_and_stream(self, walks, bits):
         seeds = range(1, 9)
         found = _primes(gen_prime, bits, seeds)
@@ -760,7 +763,7 @@ class TestSearchRace:
             return found
 
         log = _rig_search(monkeypatch, stops_early)
-        for bits, seeds in ((82, range(1, 5)), (128, [1, 2]), (_RACE_BITS, [1, 2]),
+        for bits, seeds in ((82, range(1, 5)), (128, [1, 2]), (_RACE_LINE, [1, 2]),
                             (256, [1, 2])):
             assert _primes(gen_prime, bits, seeds) == _primes(_serial_gen_prime, bits, seeds)
         assert any(end is not None for _, _, end in log)  # the caller filled gaps
@@ -784,7 +787,7 @@ class TestSearchRace:
 
     def test_the_line(self, forks, monkeypatch):
         monkeypatch.setattr(_pool, "_running", lambda: 1)
-        line = number_theory._RACE_BITS
+        line = _RACE_LINE
         for seed in range(1, 9):  # just below it nothing forks, no split either
             gen_prime(line - 1, Rng64(seed))
         assert forks == []
@@ -795,7 +798,7 @@ class TestSearchRace:
             return [fn(*args, 0, 1, lambda: False)]
 
         monkeypatch.setattr(number_theory, "race", counted)
-        for bits, walks in ((line - 1, set()), (line, {2}), (256, {3})):
+        for bits, walks in ((line - 1, {1}), (line, {2}), (256, {3})):
             entrants.clear()
             gen_prime(bits, Rng64(1))
             assert set(entrants) == walks
@@ -806,6 +809,21 @@ class TestSearchRace:
     def test_small_keys_fork_nothing(self, forks, bits):
         for seed in range(1, 6):
             generate_keypair(bits, seed)
+        assert forks == []
+        assert_no_children(forks)
+
+    # Below two slices' work no race or split reads the CPU set: small
+    # keys, a 182-bit search and its pick's rounds, and rho on n < 2^40.
+    def test_small_work_reads_no_cpu_set(self, forks, monkeypatch):
+        def unreadable(pid):
+            raise AssertionError("the CPU set was read")
+
+        monkeypatch.setattr(os, "sched_getaffinity", unreadable, raising=False)
+        for seed in range(1, 4):
+            generate_keypair(28, seed)
+            assert gen_prime(182, Rng64(seed)).bit_length() == 182
+        kp = generate_keypair(16, 3)
+        assert crack_private_key(kp.public, POLLARD_RHO).d == kp.private.d
         assert forks == []
         assert_no_children(forks)
 
