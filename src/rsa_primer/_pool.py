@@ -6,32 +6,33 @@ CPU the process may run on.  The caller runs the first slice and a worker
 each other one.  Less than twice _FAN_OUT_WORK (then no CPU count is read),
 a platform without fork, or a caller that runs other threads gets one
 slice, run in the caller by the same code.  ``race`` is a split over walk
-indices k = 0, ..., m - 1, one per process: the caller's walk and one more
-per further CPU that nothing else runs on, by Linux's count of running
-tasks in /proc/loadavg (every CPU where that cannot be read): two walks
-sharing one CPU lose to one, as racing every 28-bit crack beside one busy
-process on 2 CPUs took 1.262 times as long as walking once
-(BENCH_rho_race.json).  Each walk gets k, the entrant count m and lost(),
-and the race returns every walk's result in walk order.  Granted fewer
-than two walks, or with no result that passes its check (then every
-worker is dropped), a race is walk 0 of 1 alone in the caller, and lost()
-stays false.  The race line: the prime search weighs a walk at 63 bits^2
-and races from 183 bits on (63 * 182^2 < 2 * 2^20 <= 63 * 183^2); Pollard
-rho weighs one at 2^11 n^(1/4) and races from n >= 2^40.  The one stop
-rule: lost() turns true once any walk of the race has returned, and a walk
-stops at its next poll of it.  The flag behind lost() is this module's
-alone, one byte in an anonymous shared mmap made before the first fork:
-raised as a walk returns, cleared as the race does.
+indices k = 0, ..., m - 1, one per slice.  Each walk gets k, the entrant
+count m and lost(), and the race returns every walk's result in walk
+order.  Granted fewer than two walks, or with no result that passes its
+check (then every worker is dropped), a race is walk 0 of 1 alone in the
+caller, and lost() stays false.  The race line: the prime search weighs a
+walk at 63 bits^2 and races from 183 bits on
+(63 * 182^2 < 2 * 2^20 <= 63 * 183^2); Pollard rho weighs one at
+2^11 n^(1/4) and races from n >= 2^40.  The one stop rule: lost() turns
+true once any walk of the race has returned, and a walk stops at its next
+poll of it.  The flag behind lost() is this module's alone, one byte in an
+anonymous shared mmap made before the first fork: raised as a walk
+returns, cleared as the race does.
 
 Workers are forked at the first split or race that needs them and kept for
-every one after.  Each job and each reply crosses its pipe as one marshal
-string, read whole, and every split and race reads the reply to each job
-it sends before it returns, so no job is in flight between calls.  A worker
-that dies or replies with anything else is dropped and its slice redone in
-the caller; in a race lost() is true by then, so a redone walk stops at
-its first poll.  An exception in the caller kills every worker at once.  A
-worker leaves on EOF, a forked child starts with none, and an exit handler
-reaps them.
+every one after.  The one placement rule: before each job, a worker limits
+itself to the CPUs it was forked with less the one the caller last ran on
+(field 39 of /proc/<caller>/stat), and runs unplaced where that cannot be
+read or set, or the set holds one CPU.  A worker on its caller's CPU made
+a split no faster than one process, and a pin made once at fork did not
+hold, as the caller moves (CHANGES.md line 63).  Each job and each reply
+crosses its pipe as one marshal string, read whole, and every split and
+race reads the reply to each job it sends before it returns, so no job is
+in flight between calls.  A worker that dies or replies with anything else
+is dropped and its slice redone in the caller; in a race lost() is true by
+then, so a redone walk stops at its first poll.  An exception in the caller
+kills every worker at once.  A worker leaves on EOF, a forked child starts
+with none, and an exit handler reaps them.
 """
 
 import atexit
@@ -56,28 +57,13 @@ _workers: list = []  # (pid, its job pipe, its result pipe) per live worker
 _flag = None  # one byte shared with the workers, raised from a walk's return to the race's end
 
 
-def _cpus() -> int:
-    # The CPUs this process may use.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
-
-
 def _slices(work: int) -> int:
     # One process per _FAN_OUT_WORK, at most one per CPU the process may use;
     # one below two, without fork, or while other threads run (3.12 warns).
     if work < 2 * _FAN_OUT_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(_cpus(), work // _FAN_OUT_WORK)
-
-
-def _running() -> int:
-    # The tasks running or ready to run on the host now, this one among them,
-    # from Linux's /proc/loadavg; 1 where that cannot be read.
-    try:
-        with open("/proc/loadavg", "rb") as f:
-            return int(f.read().split()[3].split(b"/")[0])
-    except (OSError, ValueError, IndexError):
-        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, work // _FAN_OUT_WORK)
 
 
 def split_map(fn, values, args: tuple, work: int) -> list:
@@ -116,12 +102,10 @@ def split_map(fn, values, args: tuple, work: int) -> list:
 
 
 def race(fn, args: tuple, work: int, valid) -> list:
-    # fn(*args, k, m, lost) for walks k = 0, ..., m - 1, m up to _slices(work)
-    # and the idle CPUs: every result in walk order, or walk 0 of 1's alone
-    # when m < 2 or none passes valid.  A worker finds fn by module and name.
+    # fn(*args, k, m, lost) for walks k = 0, ..., m - 1, m = _slices(work):
+    # every result in walk order, or walk 0 of 1's alone when m < 2 or none
+    # passes valid.  A worker finds fn by module and name.
     walks = _slices(work)
-    if walks > 1:
-        walks = min(walks, _cpus() - _running() + 1)
     if walks > 1:
         results = split_map(_enter, list(range(walks)),
                             (fn.__module__, fn.__name__, walks, *args), work)
@@ -171,14 +155,16 @@ def _start_worker() -> tuple:
         import mmap  # a shared library: loaded at the first fork, not at import
 
         _flag = mmap.mmap(-1, 1)  # anonymous and shared with every child
-    flag = _flag
-    (jobs, to_worker), (from_worker, results) = os.pipe(), os.pipe()
+    flag, caller, fds = _flag, os.getpid(), []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in jobs, to_worker, from_worker, results:
+        for fd in fds:
             os.close(fd)
         raise
+    jobs, to_worker, from_worker, results = fds
     if pid == 0:
         # Run each (module, function, *args) read until EOF.  Leaving by
         # os._exit, even on KeyboardInterrupt, flushes no inherited stdio.
@@ -187,8 +173,15 @@ def _start_worker() -> tuple:
             os.close(to_worker)
             os.close(from_worker)
             jobs, results = open(jobs, "rb"), open(results, "wb")
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
             while True:
                 module, name, *args = _read(jobs)
+                # The placement rule; field 39 of stat comes past the name.
+                if len(cpus) > 1:
+                    with suppress(AttributeError, OSError, ValueError, IndexError):
+                        with open(f"/proc/{caller}/stat", "rb") as f:
+                            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+                        os.sched_setaffinity(0, cpus - {cpu})
                 _write(results, getattr(sys.modules[module], name)(*args))
         finally:
             os._exit(0)

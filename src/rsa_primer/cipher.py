@@ -14,9 +14,9 @@ either by trial division (:func:`smallest_factor`: didactic, obviously
 correct) or Pollard rho with Brent cycle detection (scales far enough to
 make timing curves interesting).  A rho walk takes about n^(1/4) steps,
 so from the race line in ``_pool``'s docstring on, rho races one walk per
-idle CPU through ``_pool.race``: the caller's is the walk a serial run
-takes (x -> x^2 + 1 from 2), each worker's another polynomial, and the
-first factor found wins.  Independent walks on m CPUs find a factor up to
+CPU the process may use through ``_pool.race``: the caller's is the walk a
+serial run takes (x -> x^2 + 1 from 2), each worker's another polynomial,
+and the first factor found wins.  Independent walks on m CPUs find a factor up to
 sqrt(m) times sooner (Brent 1990; van Oorschot and Wiener 1999).  The
 report is the same whichever walk wins; only ``elapsed`` differs.  Smaller
 keys, those of the command-line benchmark, the demo and the worked example

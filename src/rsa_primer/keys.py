@@ -193,7 +193,7 @@ def validate_keypair(kp: KeyPair) -> list[str]:
 # line, then one `name=<decimal>` line per field of _FIELDS_BY_KIND, in its
 # order, and for a pair optionally the _PROVENANCE_FIELDS.
 
-_FIELD_RE = re.compile(r"^([a-z]+)=(0|[1-9][0-9]*)$")
+_FIELD_RE = re.compile(r"^([a-z]+)=(0|-?[1-9][0-9]*)$")
 
 _FIELDS_BY_KIND = {
     "public": ("n", "e"),
@@ -205,16 +205,26 @@ _HEADER_BY_KIND = {kind: f"rsa-primer {kind} v1" for kind in _FIELDS_BY_KIND}
 _KIND_BY_HEADER = {header: kind for kind, header in _HEADER_BY_KIND.items()}
 
 
+def _check_numbers(values: dict[str, int]) -> None:
+    # The reader's rules on a key file's numbers, which every writer keeps.
+    for name, x in values.items():
+        if name == "n" and x <= 1:
+            raise MalformedKeyFile(f"n must exceed 1, got {_decimal(x)}")
+        if name in ("e", "d") and (x < 3 or x % 2 == 0):
+            raise MalformedKeyFile(f"{name} must be odd and at least 3, got {_decimal(x)}")
+        if x < 0:
+            raise MalformedKeyFile(f"{name} must not be negative, got {_decimal(x)}")
+
+
 def _format_key_file(kind: str, values: dict[str, object]) -> str:
     # The kind's header, then its table's fields in order; a pair whose
     # values hold its provenance adds the trio.
-    names = _FIELDS_BY_KIND[kind]
-    if kind == "pair" and "p" in values:
-        names += _PROVENANCE_FIELDS
-    for name in names:
-        x = abs(values[name])
+    names = _FIELDS_BY_KIND[kind] + _PROVENANCE_FIELDS
+    values = {name: values[name] for name in names if name in values}
+    _check_numbers(values)
+    for name, x in values.items():
         _require_printable(x.bit_length(), x, "modulus" if name == "n" else name)
-    lines = [_HEADER_BY_KIND[kind], *(f"{name}={values[name]}" for name in names)]
+    lines = [_HEADER_BY_KIND[kind], *(f"{name}={x}" for name, x in values.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -264,23 +274,13 @@ def parse_key_file(text: str) -> PublicKey | PrivateKey | KeyPair:
             values[name] = int(field.group(2))
         except ValueError as exc:  # more digits than int() converts
             raise MalformedKeyFile(f"{name}: {exc}") from None
-    if values["n"] <= 1:
-        raise MalformedKeyFile(f"n must exceed 1, got {values['n']}")
-    for name in ("e", "d"):
-        if name in values and (values[name] < 3 or values[name] % 2 == 0):
-            raise MalformedKeyFile(
-                f"{name} must be odd and at least 3, got {values[name]}"
-            )
+    _check_numbers(values)
 
-    if kind == "public":
-        return PublicKey(e=values["e"], n=values["n"])
-    private = PrivateKey(d=values["d"], n=values["n"])
-    if kind == "private":
-        return private
-    public = PublicKey(e=values["e"], n=values["n"])
-    provenance = None
-    if "p" in values:
-        provenance = Provenance(values["p"], values["q"], values["phi"])
+    public = PublicKey(values["e"], values["n"]) if "e" in values else None
+    private = PrivateKey(values["d"], values["n"]) if "d" in values else None
+    if kind != "pair":
+        return public or private
+    provenance = Provenance(values["p"], values["q"], values["phi"]) if "p" in values else None
     findings = validate_keypair(KeyPair(public, private, provenance))
     if findings:
         what = "pair" if provenance is None else "provenance"

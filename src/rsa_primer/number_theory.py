@@ -86,9 +86,13 @@ def _require_printable(width: int, n: int | None = None, what: str = "modulus") 
                           f"than the int-string limit of {limit}")
 
 
+def _require_type(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an {kind.__name__}, got {type(value).__name__}")
+
+
 def _require_natural(value: int, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    _require_type(value, int, name)
     if value < 0:
         raise InvalidArgument(f"{name} must be non-negative, got {_decimal(value)}")
 
@@ -138,9 +142,9 @@ def rng_next(rng: Rng64) -> tuple[int, Rng64]:
     The input stream is left untouched; feeding the same state twice yields
     the same pair.
     """
+    _require_type(rng, Rng64, "rng")
     advanced = Rng64(rng.state)
-    value = advanced.next_u64()
-    return value, advanced
+    return advanced.next_u64(), advanced
 
 
 def _draw_bits(bits: int, rng: Rng64) -> int:
@@ -340,11 +344,12 @@ def is_probable_prime(n: int, rng: Rng64 | None = None) -> bool:
     0 and 1 are not prime; 2 and 3 are.
     """
     _require_natural(n, "n")
+    if rng is None:
+        rng = Rng64(_DEFAULT_WITNESS_SEED)
+    _require_type(rng, Rng64, "rng")
     verdict = _screen(n)
     if verdict is not None:
         return verdict
-    if rng is None:
-        rng = Rng64(_DEFAULT_WITNESS_SEED)
     if not _first_round(n, rng):
         return False
     if n < _PSI[-1]:
@@ -439,6 +444,7 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
     _require_printable(bits, what="prime")
+    _require_type(rng, Rng64, "rng")
     low = 1 << (bits - 1)
     high = (1 << bits) - 1
     candidate = _draw_bits(bits, rng) | low | 1

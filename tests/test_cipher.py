@@ -538,6 +538,27 @@ class TestFanOut:
         assert [pid for pid, _, _ in _pool._workers] == [survivor, forks[2]]
         assert_no_children(forks)
 
+    # The second pipe fails: the first one's two descriptors are closed,
+    # and no worker is started.
+    def test_a_failed_pipe_leaks_no_descriptor(self, fresh_pool, monkeypatch):
+        pipe, opened = os.pipe, []
+
+        def second_fails():
+            if opened:
+                raise OSError("no descriptor to spare")
+            opened.extend(pipe())
+            return tuple(opened)
+
+        monkeypatch.setattr(os, "pipe", second_fails)
+        with pytest.raises(OSError, match="^no descriptor to spare$"):
+            _pool._start_worker()
+        assert len(opened) == 2
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert _pool._workers == []
+        assert_no_children()
+
     @pytest.mark.parametrize("how", ["eof", "interrupt"])
     def test_worker_leaves_by_exit_0(self, wide, forks, how):
         # on EOF, and on KeyboardInterrupt (SIGINT), without dying of the signal
@@ -644,6 +665,74 @@ class TestHandoff:
         assert len(forks) == 1
         assert len(_pool._workers) == 1  # the reply passed its length check
         assert_no_children(forks)
+
+
+@pytest.fixture
+def caller_stat(monkeypatch, tmp_path):
+    """The caller's /proc/<pid>/stat as _pool reads it, patched before any
+    worker forks: caller_stat(cpu) writes a line whose field 39, the CPU the
+    caller last ran on, is cpu (past a name holding ") "); caller_stat(None)
+    leaves no file to read."""
+    path, caller, real = tmp_path / "stat", f"/proc/{os.getpid()}/stat", open
+    monkeypatch.setattr(_pool, "open", lambda file, *args: real(
+        path if file == caller else file, *args), raising=False)
+
+    def write(cpu):
+        if cpu is None:
+            path.unlink()
+        else:
+            path.write_bytes(b"1 (a) b) R " + b"0 " * 35 + b"%d 0 0\n" % cpu)
+
+    return write
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+                         and os.path.exists(f"/proc/{os.getpid()}/stat")),
+                    reason="a worker is placed only where fork, affinity and /proc exist")
+class TestPlacement:
+    """Before each job a worker limits itself to the CPUs it was forked with
+    less the one its caller last ran on, or runs unplaced where that cannot
+    be read or set."""
+
+    @pytest.fixture
+    def stat(self, fresh_pool, caller_stat, monkeypatch):
+        # Every split has two slices.
+        monkeypatch.setattr(_pool, "_slices", lambda work: 2)
+        yield caller_stat
+        assert_no_children()
+
+    @staticmethod
+    def _split_in():
+        # Two splits of the 63 rounds, each with one job for the worker: the
+        # worker's pid once both have returned.
+        assert is_probable_prime(2**256 - 189)
+        assert not is_probable_prime((2**127 - 1) * (2**129 - 1))
+        (pid, _, _), = _pool._workers
+        return pid
+
+    # The caller moves between jobs, and the worker follows: after each job
+    # it is off the caller's last CPU, inside the set it was forked with.
+    def test_a_worker_runs_off_the_callers_cpu(self, stat):
+        forked, pids = os.sched_getaffinity(0), set()
+        for cpu in sorted(forked) * 2:
+            stat(cpu)
+            pids.add(pid := self._split_in())
+            assert os.sched_getaffinity(pid) == (forked - {cpu} if len(forked) > 1 else forked)
+        assert len(pids) == 1  # one worker, placed again before each job
+
+    @pytest.mark.parametrize("lack", ["one-cpu", "unreadable-stat", "no-setaffinity"])
+    def test_unplaced_where_it_cannot_place(self, stat, monkeypatch, lack):
+        getaffinity = os.sched_getaffinity
+        forked = getaffinity(0)
+        stat(min(forked))
+        if lack == "one-cpu":  # a CPU other than the caller's, where there is one
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {max(forked)})
+        elif lack == "unreadable-stat":
+            stat(None)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        for _ in range(2):
+            assert getaffinity(self._split_in()) == forked
 
 
 class TestCrackPrivateKey:
@@ -874,12 +963,8 @@ def _walk_until_lost(walk, n, deadline, k, m, lost):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
 class TestRhoRace:
-    """A long enough rho walk races one walk per idle CPU; the first factor
-    wins.  Unless a test says otherwise, nothing else runs on the host."""
-
-    @pytest.fixture(autouse=True)
-    def idle_host(self, monkeypatch):
-        monkeypatch.setattr(_pool, "_running", lambda: 1)
+    """A long enough rho walk races one walk per CPU the process may use;
+    the first factor wins."""
 
     def test_the_line(self, three_cpus):
         def entrants(n):
@@ -890,38 +975,36 @@ class TestRhoRace:
         assert entrants(1721 * 1801) == entrants(2**32) == entrants(2**40 - 1) == 1
         assert_no_children()
 
-    # Three walks on three CPUs share them with whatever else runs there.
-    # However busy the host, the caller walks, and the workers an earlier
-    # split forked stay for the next: a rho race and a 256-bit search drop
-    # none of them.
-    @pytest.mark.parametrize("running, walks", [(1, 3), (2, 2), (3, 1), (9, 1)])
-    def test_walks_only_on_idle_cpus(self, forks, monkeypatch, running, walks):
-        monkeypatch.setattr(_pool, "_running", lambda: running)
+    # One walk per CPU the process may use (CPUs 0 to cpus - 1), whichever
+    # CPU the caller last ran on: the caller walks, each worker only off the
+    # caller's CPU, and the workers an earlier split forked stay for the
+    # next: a rho race and a 256-bit search drop none of them.  On one CPU
+    # the caller walks alone.
+    @pytest.mark.parametrize("cpu, cpus", [(1, 3), (2, 2), (3, 1), (9, 1)])
+    def test_walks_only_on_idle_cpus(self, forks, caller_stat, monkeypatch, cpu, cpus):
+        import posix  # whose sched_getaffinity, unlike os's here, is the real one
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        caller_stat(cpu)
         kp = generate_keypair(24, 13)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
-        assert len(forks) == walks - 1
-        assert is_probable_prime(2**256 - 189)  # a split over three processes
+        assert len(forks) == cpus - 1
+        assert is_probable_prime(2**256 - 189)  # a split over the same processes
         pooled = [pid for pid, _, _ in _pool._workers]
-        assert len(pooled) == 2
+        assert pooled == forks
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         rng = Rng64(1)
         assert gen_prime(256, rng).bit_length() == 256
         assert rng.state == 0x70D0E7320CB9056  # the serial loop's, as test_number_theory pins
         assert [pid for pid, _, _ in _pool._workers] == pooled
-        assert len(forks) == 2
+        assert len(forks) == cpus - 1
+        # A worker whose set less the caller's CPU meets the CPUs it may
+        # really use is placed there, off the caller's CPU.
+        real = posix.sched_getaffinity(0) if hasattr(posix, "sched_setaffinity") else set()
+        if (set(range(cpus)) - {cpu}) & real:
+            for pid in pooled:
+                assert cpu not in posix.sched_getaffinity(pid)
         assert_no_children(forks)
-
-    def test_running_counts_this_process(self, monkeypatch):
-        monkeypatch.undo()  # the real count
-        if os.path.exists("/proc/loadavg"):
-            assert _pool._running() >= 1
-
-        def unreadable(*args):
-            raise PermissionError("/proc/loadavg")
-
-        monkeypatch.setattr(_pool, "open", unreadable, raising=False)
-        assert _pool._running() == 1
-        assert_no_children()
 
     def test_keys_below_the_line_never_fork(self, toy_keypair, no_fork):
         report = crack_private_key(toy_keypair.public, POLLARD_RHO)

@@ -342,6 +342,44 @@ class TestKeyFileFormat:
             private_part(toy_keypair.public)
 
 
+class TestWritersRefuseWhatTheReaderRefuses:
+    """A key writer refuses every number parse_key_file refuses, with the
+    reader's error and message, and writes nothing."""
+
+    @pytest.mark.parametrize("write, key, text", [
+        (format_public_key, PublicKey(-3, 35), "rsa-primer public v1\nn=35\ne=-3\n"),
+        (format_public_key, PublicKey(4, 35), "rsa-primer public v1\nn=35\ne=4\n"),
+        (format_public_key, PublicKey(3, 1), "rsa-primer public v1\nn=1\ne=3\n"),
+        (format_public_key, PublicKey(3, -35), "rsa-primer public v1\nn=-35\ne=3\n"),
+        (format_private_key, PrivateKey(-7, 35), "rsa-primer private v1\nn=35\nd=-7\n"),
+        (format_private_key, PrivateKey(1, 35), "rsa-primer private v1\nn=35\nd=1\n"),
+        (format_keypair, KeyPair(PublicKey(3, 35), PrivateKey(4, 35)),
+         "rsa-primer pair v1\nn=35\ne=3\nd=4\n"),
+        (format_keypair, KeyPair(PublicKey(3, 1), PrivateKey(-5, 1)),
+         "rsa-primer pair v1\nn=1\ne=3\nd=-5\n"),
+        (format_keypair, KeyPair(PublicKey(1012333, 3099521), PrivateKey(997, 3099521),
+                                 Provenance(-1721, -1801, 3096000)),
+         "rsa-primer pair v1\nn=3099521\ne=1012333\nd=997\np=-1721\nq=-1801\nphi=3096000\n"),
+    ], ids=["e-negative", "e-even", "n-1", "n-negative", "d-negative", "d-1", "pair-d-even",
+            "pair-n-first", "pair-p-negative"])
+    def test_refused_with_the_readers_message(self, write, key, text):
+        with pytest.raises(MalformedKeyFile) as read:
+            parse_key_file(text)
+        with pytest.raises(MalformedKeyFile) as written:
+            write(key)
+        assert str(written.value) == str(read.value)
+
+    # A negative number too wide for str() is refused by its width.
+    def test_a_wide_negative_number_refused_by_its_width(self):
+        with pytest.raises(MalformedKeyFile,
+                           match="^d must be odd and at least 3, got <negative 14617-bit number>$"):
+            format_private_key(PrivateKey(-HUGE_N, 3233))
+        with pytest.raises(MalformedKeyFile,
+                           match="^p must not be negative, got <negative 14617-bit number>$"):
+            format_keypair(KeyPair(PublicKey(17, 3233), PrivateKey(2753, 3233),
+                                   Provenance(-HUGE_N, 53, 3120)))
+
+
 # CPython's str() refuses an int of more decimal digits than
 # sys.get_int_max_str_digits() allows (4300 by default, 0 for no limit), so
 # no key file could hold such a modulus: making or writing one is refused.

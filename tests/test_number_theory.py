@@ -461,6 +461,21 @@ class TestRng64:
         with pytest.raises(TypeError, match=f"^seed must be an int, got {kind}$"):
             Rng64(seed)
 
+    # A stream of any other type is a wrong type, as errors says: TypeError
+    # before the first draw, never an AttributeError from inside a walk.
+    @pytest.mark.parametrize("call, kind", [
+        (lambda: gen_prime(64, 5), "int"),
+        (lambda: gen_prime(64, None), "NoneType"),
+        (lambda: gen_prime(256, Rng64(1).state), "int"),
+        (lambda: is_probable_prime(2**89 - 1, "x"), "str"),
+        (lambda: is_probable_prime(97, 97), "int"),
+        (lambda: rng_next(1), "int"),
+    ], ids=["gen_prime-int", "gen_prime-None", "gen_prime-256", "is_probable_prime-str",
+            "is_probable_prime-small", "rng_next-int"])
+    def test_a_stream_that_is_no_rng64_rejected(self, call, kind):
+        with pytest.raises(TypeError, match=f"^rng must be an Rng64, got {kind}$"):
+            call()
+
     def test_repr_shows_the_state(self):
         rng = Rng64(1)
         assert repr(rng) == "Rng64(0x0000000000000001)"
@@ -668,8 +683,7 @@ class TestSearchRace:
     @pytest.fixture(params=[1, 2, 3])
     def walks(self, request, forks, monkeypatch):
         # every search raced, whatever its width, and every race and split
-        # over this many processes, on three idle CPUs
-        monkeypatch.setattr(_pool, "_running", lambda: 1)
+        # over this many processes
         monkeypatch.setattr(_pool, "_slices", lambda work: request.param)
         yield request.param
         assert len(forks) == request.param - 1
@@ -741,7 +755,6 @@ class TestSearchRace:
         (lambda walk, *args: os._exit(1), False),
     ], ids=["stops-at-once", "dies"])
     def test_gaps_are_walked_by_the_caller(self, forks, monkeypatch, in_worker, filled):
-        monkeypatch.setattr(_pool, "_running", lambda: 1)
         log = _rig_search(monkeypatch, in_worker)
         seeds = range(1, 5)
         assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
@@ -773,8 +786,6 @@ class TestSearchRace:
     # candidate, and the race drops its workers and walks alone, as walk 0
     # of 1.
     def test_no_candidate_walks_alone(self, forks, monkeypatch):
-        monkeypatch.setattr(_pool, "_running", lambda: 1)
-
         def stops_at_once(walk, start, state, bits, end, k, m, lost):
             return k, None, None
 
@@ -786,7 +797,6 @@ class TestSearchRace:
         assert_no_children(forks)
 
     def test_the_line(self, forks, monkeypatch):
-        monkeypatch.setattr(_pool, "_running", lambda: 1)
         line = _RACE_LINE
         for seed in range(1, 9):  # just below it nothing forks, no split either
             gen_prime(line - 1, Rng64(seed))
