@@ -17,7 +17,7 @@ from .errors import (
     ModulusTooSmallForCodec,
     NonAsciiByte,
 )
-from .number_theory import _decimal, _require_natural, _require_printable
+from .number_theory import _decimal, _require_natural, _require_printable, _require_type
 
 __all__ = [
     "CODEC_TOY_ASCII",
@@ -65,6 +65,7 @@ def decimal_digits(n: int) -> int:
 
 def chunk_size_for(n: int) -> int:
     """Largest k with 256**k <= n: the bytes that always fit in one block."""
+    _require_type(n, int, "n")
     if n < 256:
         raise ModulusTooSmallForCodec(f"chunked codec needs n >= 256, got {_decimal(n)}")
     # 256**k <= n exactly when 8k <= bit_length(n) - 1.
@@ -73,6 +74,7 @@ def chunk_size_for(n: int) -> int:
 
 def encode_toy_ascii(text: bytes, n: int) -> BlockSeq:
     """One block per ASCII character; requires n > 999 so blocks fit."""
+    _require_type(n, int, "n")
     if n <= 999:
         raise ModulusTooSmallForCodec(f"toy-ascii codec needs n > 999, got {_decimal(n)}")
     for b in text:

@@ -14,18 +14,9 @@ import re
 
 from ._record import Record
 from .errors import InvalidPublicExponent, MalformedKeyFile
-from .number_theory import (
-    Rng64,
-    _decimal,
-    _draw_bits,
-    _require_natural,
-    _require_printable,
-    gen_prime,
-    is_probable_prime,
-    mod_inverse,
-    mod_pow,
-    totient_of_semiprime,
-)
+from .number_theory import (Rng64, _decimal, _draw_bits, _require_natural, _require_printable,
+                            _require_type, gen_prime, is_probable_prime, mod_inverse, mod_pow,
+                            totient_of_semiprime)
 
 __all__ = [
     "PublicKey",
@@ -159,6 +150,7 @@ def validate_keypair(kp: KeyPair) -> list[str]:
     Without it the only observable contract is the cipher itself, so
     encrypt-then-decrypt is probed on fixed values {2, 3, n-2}.
     """
+    _require_type(kp, KeyPair, "kp")
     pub, priv = kp.public, kp.private
     if pub.n != priv.n:
         return ["modulus mismatch between public and private halves"]
@@ -237,6 +229,7 @@ def format_private_key(sk: PrivateKey) -> str:
 
 
 def format_keypair(kp: KeyPair) -> str:
+    _require_type(kp, KeyPair, "kp")
     values = {**vars(kp.private), **vars(kp.public)}
     if kp.provenance is not None:
         values.update(vars(kp.provenance))

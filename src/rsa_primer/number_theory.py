@@ -88,7 +88,8 @@ def _require_printable(width: int, n: int | None = None, what: str = "modulus") 
 
 def _require_type(value, kind: type, name: str) -> None:
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOUaeiouR" else "a"  # an Rng64, a KeyPair
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def _require_natural(value: int, name: str) -> None:
@@ -445,11 +446,9 @@ def gen_prime(bits: int, rng: Rng64) -> int:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
     _require_printable(bits, what="prime")
     _require_type(rng, Rng64, "rng")
-    low = 1 << (bits - 1)
-    high = (1 << bits) - 1
-    candidate = _draw_bits(bits, rng) | low | 1
+    after = (_draw_bits(bits, rng) | 1 << (bits - 1) | 1) - 2  # the walk starts at the draw
     while True:
-        args = (candidate, rng.state, bits)
+        args = (after, rng.state, bits)
         # As many walks as a candidate's other rounds split into.  Two walks
         # over one, raced over serial time on the primes of seeds 1-60 to
         # 1-100 (medians of 10-16 alternating rounds, a shared 2-vCPU x86 VM,
@@ -462,23 +461,23 @@ def gen_prime(bits: int, rng: Rng64) -> int:
         for k, (index, found, _) in enumerate(walks):
             if index < least:  # stopped short of the least
                 walks[k] = _search(*args, least, index, len(walks), lambda: False)
-        _, candidate, rng.state = min(walk for walk in walks if walk[1] is not None)
+        _, pick, rng.state = min(walk for walk in walks if walk[1] is not None)
         # below psi_13 the walk's first round was the whole proven test
-        if candidate < _PSI[-1] or is_probable_prime(candidate, rng):
-            return candidate
-        candidate = candidate + 2 if candidate < high else low + 1
+        if pick < _PSI[-1] or is_probable_prime(pick, rng):
+            return pick
+        after = pick  # a round-1 liar: the search starts again past it
 
 
-def _search(start: int, state: int, bits: int, end: int | None, k: int, m: int,
+def _search(after: int, state: int, bits: int, end: int | None, k: int, m: int,
             lost) -> tuple[int, int | None, int | None]:
-    # Walk k of m over the candidates the screen leaves from start on, with
+    # Walk k of m over the candidates the screen leaves after `after`, with
     # the stream at state before the first: the first own index, up to end,
     # that the first round does not prove composite, as (index, candidate,
     # the stream's state before its draw), or (index, None, None) for the
     # own index it stopped at, by end or once lost(), every own index below
     # it tested.
     rng = Rng64(state)
-    for index, (n, verdict) in enumerate(_open_candidates(start, bits)):
+    for index, (n, verdict) in enumerate(_open_candidates(after, bits)):
         if index == k:
             if end is not None and index >= end or lost():
                 return index, None, None
@@ -490,12 +489,12 @@ def _search(start: int, state: int, bits: int, end: int | None, k: int, m: int,
             _draw_witness(n, rng)  # the draw this candidate's first round makes
 
 
-def _open_candidates(candidate: int, bits: int) -> Iterator[tuple[int, bool | None]]:
-    # The odd bits-bit numbers from candidate on, wrapping to the bottom of
-    # the range, that the screen does not reject, each with its verdict.
+def _open_candidates(after: int, bits: int) -> Iterator[tuple[int, bool | None]]:
+    # The odd bits-bit numbers past `after` that the screen does not reject,
+    # each with its verdict.  The wrap rule: after the range's top comes its bottom.
     low, high = 1 << (bits - 1), (1 << bits) - 1
     while True:
-        verdict = _screen(candidate)
+        after = after + 2 if after < high else low + 1
+        verdict = _screen(after)
         if verdict is not False:
-            yield candidate, verdict
-        candidate = candidate + 2 if candidate < high else low + 1
+            yield after, verdict

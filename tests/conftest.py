@@ -1,4 +1,3 @@
-import io
 import os
 import sys
 import time
@@ -7,9 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from golden import run
 from rsa_primer import _pool
-from rsa_primer.cli import main as cli_main
 from rsa_primer.keys import keypair_from_primes
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# The textbook key's ciphertext of "Tue 7PM", read from the one copy: the
+# demo transcript, itself a line of the golden corpus.
+GOLDEN_CIPHERTEXT = next(line.split(None, 1)[1] for line
+                         in (DATA / "demo_toy.txt").read_text(encoding="ascii").splitlines()
+                         if line.lstrip().startswith("ciphertext "))
+
+# gen_prime(256, Rng64(1)) and the stream's state after it.
+SEED_1_PRIME_256 = (90414521795055489707071231387224378341596883258048563840435722193054557995647,
+                    0x70D0E7320CB9056)
 
 
 @dataclass
@@ -23,28 +34,10 @@ class CliResult:
         return self.out.decode("utf-8")
 
 
-def invoke_cli(args, stdin: bytes = b"") -> CliResult:
-    """Run the CLI in-process with swapped standard streams."""
-    old = sys.stdin, sys.stdout, sys.stderr
-    out_buf, err_buf = io.BytesIO(), io.BytesIO()
-    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-    sys.stdout = io.TextIOWrapper(out_buf, encoding="utf-8", newline="",
-                                  write_through=True)
-    sys.stderr = io.TextIOWrapper(err_buf, encoding="utf-8", newline="",
-                                  write_through=True)
-    try:
-        code = cli_main(list(args))
-        sys.stdout.flush()
-        sys.stderr.flush()
-        out, err = out_buf.getvalue(), err_buf.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old
-    return CliResult(code, out, err)
-
-
 @pytest.fixture
 def cli():
-    return invoke_cli
+    """Run the CLI in-process with swapped standard streams."""
+    return lambda args, stdin=b"": CliResult(*run(args, stdin))
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from time import perf_counter
 
 import pytest
 
+from conftest import GOLDEN_CIPHERTEXT
 from rsa_primer.cipher import (
     TRIAL_DIVISION,
     crack_benchmark,
@@ -31,8 +32,6 @@ from rsa_primer.number_theory import (
     mod_pow,
     totient_bruteforce,
 )
-
-GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_children, wait_status
+from conftest import GOLDEN_CIPHERTEXT, SEED_1_PRIME_256, assert_no_children, wait_status
 from rsa_primer import _pool, cipher, codec
 from rsa_primer._record import replace
 from rsa_primer.cipher import (
@@ -46,8 +46,6 @@ from rsa_primer.errors import (
 )
 from rsa_primer.keys import PrivateKey, PublicKey, generate_keypair, keypair_from_primes
 from rsa_primer.number_theory import Rng64, gen_prime, is_probable_prime, mod_pow
-
-GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
 
 class TestBlockTransform:
@@ -994,8 +992,7 @@ class TestRhoRace:
         assert pooled == forks
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         rng = Rng64(1)
-        assert gen_prime(256, rng).bit_length() == 256
-        assert rng.state == 0x70D0E7320CB9056  # the serial loop's, as test_number_theory pins
+        assert (gen_prime(256, rng), rng.state) == SEED_1_PRIME_256  # the serial loop's
         assert [pid for pid, _, _ in _pool._workers] == pooled
         assert len(forks) == cpus - 1
         # A worker whose set less the caller's CPU meets the CPUs it may

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import golden
+from conftest import DATA, GOLDEN_CIPHERTEXT
 from rsa_primer import _pool, cipher, number_theory
 from rsa_primer.cipher import METHODS
 from rsa_primer.cli import FACTOR_BOUND
@@ -23,8 +25,6 @@ from rsa_primer.keys import (
     generate_keypair,
     parse_key_file,
 )
-
-GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
 
 @pytest.fixture
@@ -474,10 +474,9 @@ class TestCrack:
 
 class TestDemo:
     def test_fixed_transcript_matches_golden_file(self, cli):
-        golden = Path(__file__).parent / "data" / "demo_toy.txt"
         res = cli(["demo"])
         assert res.code == 0
-        assert res.out == golden.read_bytes()
+        assert res.out == (DATA / "demo_toy.txt").read_bytes()
 
     def test_contains_worked_ciphertext(self, cli):
         res = cli(["demo"])
@@ -646,7 +645,7 @@ class TestSubprocess:
     def test_keygen_where_os_lacks(self, tmp_path, missing):
         # Every process imports the pool.  Without fork the rounds run in the
         # caller alone; without sched_getaffinity os.cpu_count() bounds the
-        # slices.  Either way the key file is the one CI pins.
+        # slices.  Either way the key file is the one the golden corpus pins.
         args = ["keygen", "--bits", "256", "--seed", "7", "--retain-pq",
                 "--out", str(tmp_path / "big")]
         code = ("import os, sys\n"
@@ -657,8 +656,8 @@ class TestSubprocess:
                 "sys.exit(code)")
         proc = self._run([], argv=["-c", code])
         assert proc.returncode == 0
-        assert hashlib.sha256((tmp_path / "big.key").read_bytes()).hexdigest() \
-            == "526bf2679570838dc88a00e46bd6300c12a7265d8d18f67d4d0f7453610e00ff"
+        assert hashlib.sha256((tmp_path / "big.key").read_bytes()).hexdigest() == golden.digest(
+            "keygen --bits 256 --seed 7 --retain-pq --out key", "key.key")
         cpus = 1 if "fork" in missing else os.cpu_count() or 1
         assert proc.stderr.split(b"\n")[-2].split() == [b"%d" % cpus, b"%d" % (min(cpus, 3) - 1)]
 

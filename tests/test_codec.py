@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import GOLDEN_CIPHERTEXT
 from rsa_primer.codec import (
     CODEC_CHUNKED,
     CODEC_TOY_ASCII,
@@ -191,9 +192,7 @@ class TestFormatting:
         from rsa_primer.cipher import encrypt_message
 
         bs = encrypt_message(b"Tue 7PM", toy_keypair.public, CODEC_TOY_ASCII)
-        assert format_cipher_blocks(bs) == (
-            "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
-        )
+        assert format_cipher_blocks(bs) == GOLDEN_CIPHERTEXT
 
     def test_empty(self):
         assert format_cipher_blocks(BlockSeq((), CODEC_TOY_ASCII, 7)) == ""

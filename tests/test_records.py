@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN_CIPHERTEXT
 from rsa_primer._record import replace
 from rsa_primer.cipher import CrackReport, CrackTrial
 from rsa_primer.codec import BlockSeq
 from rsa_primer.keys import KeyPair, PrivateKey, Provenance, PublicKey, format_keypair
 
 TOY_CRT = (1721, 1801, 997, 997, 839)
-GOLDEN_CIPHERTEXT = "0469428 0547387 2687822 1878793 0330764 1501041 1232817"
 
 # (instance, its exact repr)
 SAMPLES = [

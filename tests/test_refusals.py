@@ -2,6 +2,7 @@
 either returns or raises a class of :mod:`rsa_primer.errors`.  A wrong type
 may raise ``TypeError``; nothing else may escape."""
 
+import math
 from time import perf_counter
 
 import pytest
@@ -29,13 +30,14 @@ from rsa_primer.codec import (
     encode_toy_ascii,
     format_plain_blocks,
 )
-from rsa_primer.errors import Error, InvalidArgument
+from rsa_primer.errors import Error, InvalidArgument, ModulusTooSmallForCodec
 from rsa_primer.keys import (
     KeyPair,
     PrivateKey,
     Provenance,
     PublicKey,
     generate_keypair,
+    format_keypair,
     keypair_from_primes,
     validate_keypair,
 )
@@ -160,3 +162,31 @@ def test_messages_write_an_unwritable_number_as_its_width(low_digit_limit, call,
 def test_validation_finding_writes_an_unwritable_factor_as_its_width(low_digit_limit):
     kp = KeyPair(PublicKey(3, 15), PrivateKey(3, 15), Provenance(HUGE, 5, 8))
     assert "p = <16610-bit number> is not prime" in validate_keypair(kp)
+
+
+# A wrong type raises TypeError naming the argument, before a domain rule
+# can misread it: a float modulus is no modulus too small for a codec.
+@pytest.mark.parametrize("call, message", [
+    (lambda: chunk_size_for(1.5), "n must be an int, got float"),
+    (lambda: chunk_size_for(math.nan), "n must be an int, got float"),
+    (lambda: encode_chunked(b"ab", 1.5), "n must be an int, got float"),
+    (lambda: encode_toy_ascii(b"ab", 1.5), "n must be an int, got float"),
+    (lambda: format_keypair(None), "kp must be a KeyPair, got NoneType"),
+    (lambda: validate_keypair(None), "kp must be a KeyPair, got NoneType"),
+    (lambda: validate_keypair(TOY.public), "kp must be a KeyPair, got PublicKey"),
+], ids=["chunk-size", "chunk-size-nan", "chunked", "toy-ascii", "format-pair",
+        "validate-pair", "validate-public"])
+def test_a_wrong_type_is_refused_by_name(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
+# An int keeps its refusal: the class and the message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: chunk_size_for(255), "chunked codec needs n >= 256, got 255"),
+    (lambda: encode_chunked(b"ab", -3), "chunked codec needs n >= 256, got -3"),
+    (lambda: encode_toy_ascii(b"ab", 999), "toy-ascii codec needs n > 999, got 999"),
+], ids=["chunk-size", "chunked", "toy-ascii"])
+def test_an_int_keeps_its_refusal(call, message):
+    with pytest.raises(ModulusTooSmallForCodec, match=f"^{message}$"):
+        call()
