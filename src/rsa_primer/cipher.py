@@ -40,7 +40,7 @@ from .codec import BlockSeq
 from .errors import (BitsTooSmall, BlockTooLarge, CrackTimeout, InvalidArgument, NoFactor,
                      NotSemiprime)
 from .keys import PrivateKey, PublicKey, generate_keypair
-from .number_theory import (Rng64, _decimal, _require_printable, _sieve,
+from .number_theory import (Rng64, _decimal, _require_printable, _require_type, _sieve,
                             is_probable_prime, mod_inverse)
 
 __all__ = [
@@ -223,6 +223,7 @@ def smallest_factor(n: int, deadline: float | None = None) -> int:
     walk over the table's runs is bounded and is not interrupted.  An n
     below 2 has no prime factor and raises :class:`NoFactor`.
     """
+    _require_type(n, int, "n")
     if n < 2:
         raise NoFactor(f"{_decimal(n)} has no prime factor")
     root = math.isqrt(n)
@@ -338,7 +339,11 @@ METHODS = tuple(_FACTOR_METHODS)
 
 
 def _require_budget(timeout: float | None) -> None:
-    if timeout is not None and not 0 < timeout <= sys.float_info.max:  # nan fails both
+    if timeout is None:
+        return
+    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):  # _require_type's rule
+        raise TypeError(f"timeout must be an int or a float, got {type(timeout).__name__}")
+    if not 0 < timeout <= sys.float_info.max:  # nan fails both
         raise InvalidArgument("timeout must be positive and finite")
 
 
@@ -399,9 +404,12 @@ def crack_benchmark(
     below 1 or a ``timeout`` :func:`crack_private_key` refuses raises
     :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`.
     """
+    _require_type(trials, int, "trials")
+    for bits in bits_list:
+        _require_type(bits, int, "each bit width")
+    _require_budget(timeout)
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {_decimal(trials)}")
-    _require_budget(timeout)
     if any(bits < 4 for bits in bits_list):
         raise BitsTooSmall("each bit width must be at least 4")
     rng = Rng64(seed)

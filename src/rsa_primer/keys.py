@@ -119,6 +119,9 @@ def generate_keypair(
     modulus no key file could hold raises :class:`KeyTooLarge` before any
     prime is drawn.
     """
+    _require_type(bits_per_prime, int, "bits_per_prime")
+    if e is not None:
+        _require_type(e, int, "e")
     _require_printable(2 * bits_per_prime)
     rng = Rng64(seed)
     p = gen_prime(bits_per_prime, rng)
@@ -135,6 +138,7 @@ def keypair_from_primes(
     p: int, q: int, e: int, retain_provenance: bool = False
 ) -> KeyPair:
     """Build a key pair from explicit primes, with no randomness involved."""
+    _require_type(e, int, "e")
     _require_natural(p, "p")
     _require_natural(q, "q")
     n = p * q  # refused before the primality tests, slow at such a width

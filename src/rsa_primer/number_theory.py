@@ -442,10 +442,11 @@ def gen_prime(bits: int, rng: Rng64) -> int:
     again past it.  So the primes and the stream after each are the serial
     loop's, whatever the number of walks or the timing.
     """
+    _require_type(bits, int, "bits")
+    _require_type(rng, Rng64, "rng")
     if bits < 4:
         raise BitsTooSmall(f"prime width must be at least 4 bits, got {_decimal(bits)}")
     _require_printable(bits, what="prime")
-    _require_type(rng, Rng64, "rng")
     after = (_draw_bits(bits, rng) | 1 << (bits - 1) | 1) - 2  # the walk starts at the draw
     while True:
         args = (after, rng.state, bits)

@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from golden import run
-from rsa_primer import _pool
+from rsa_primer import _pool, number_theory
 from rsa_primer.keys import keypair_from_primes
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -122,3 +123,58 @@ def wait_status(pid, timeout=30.0):
             return status
         time.sleep(0.01)
     pytest.fail(f"process {pid} still running after {timeout} s")
+
+
+def rig_walk(monkeypatch, module, name, in_worker=None, in_caller=None):
+    """Walk name of module, which _pool.race calls as fn(*args, k, m, lost),
+    rigged: a worker runs in_worker(walk, *args, k, m, lost) in its place,
+    the caller in_caller(...), where walk is the real one, and each is the
+    real walk when None.  Returns the log of the caller's calls, redone
+    walks and gap fills too, each as (k, m, result).  A worker forked before
+    the patch would run the real walk unseen, so no worker may be pooled."""
+    assert not _pool._workers, "a pooled worker would run the walk unrigged"
+    walk, parent, log = getattr(module, name), os.getpid(), []
+
+    @functools.wraps(walk)  # keeps __module__ and __name__, by which workers find it
+    def rigged(*args):
+        if os.getpid() != parent:
+            return in_worker(walk, *args) if in_worker else walk(*args)
+        result = in_caller(walk, *args) if in_caller else walk(*args)
+        log.append((*args[-3:-1], result))  # (k, m, result)
+        return result
+
+    monkeypatch.setattr(module, name, rigged)
+    return log
+
+
+def wait_until_lost(lost):
+    """Until another walk of the race has returned, 10 s at most."""
+    deadline = time.monotonic() + 10
+    while not lost():
+        assert time.monotonic() < deadline, "no other walk of the race returned"
+        time.sleep(0.001)
+
+
+def walk_once_lost(walk, *args):
+    """The real walk, started once another walk of its race has returned (a
+    walk alone at once), so that it stops at its first poll of lost()."""
+    if args[-2] > 1:
+        wait_until_lost(args[-1])
+    return walk(*args)
+
+
+class _Entered(Exception):
+    pass
+
+
+def search_walks(bits):
+    """How many walks gen_prime races for a bits-bit prime: _pool._slices of
+    its first race's work.  That race is stopped before any walk or fork."""
+    def entered(fn, args, work, valid):
+        raise _Entered(_pool._slices(work))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(number_theory, "race", entered)
+        with pytest.raises(_Entered) as info:
+            number_theory.gen_prime(bits, number_theory.Rng64(1))
+    return info.value.args[0]

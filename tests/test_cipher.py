@@ -1,4 +1,3 @@
-import functools
 import io
 import marshal
 import math
@@ -14,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_CIPHERTEXT, SEED_1_PRIME_256, assert_no_children, wait_status
+from conftest import (GOLDEN_CIPHERTEXT, SEED_1_PRIME_256, assert_no_children, rig_walk,
+                      wait_status, walk_once_lost)
 from rsa_primer import _pool, cipher, codec
 from rsa_primer._record import replace
 from rsa_primer.cipher import (
@@ -910,53 +910,12 @@ class TestCrackPrivateKey:
             crack_private_key(PublicKey(3, 91))
 
 
-def _rig_walks(monkeypatch, worker_walk, caller_waits=False):
-    """Each rho walk in a worker becomes worker_walk(walk, n, deadline, k,
-    m, lost); every walk in the caller, a dropped worker's redone too, is
-    the real one.  When caller_waits, the caller's walks wait until a
-    worker's walk has returned, but for the one a race walks alone after
-    stop()."""
-    walk, parent = cipher._rho_walk, os.getpid()
-
-    @functools.wraps(walk)  # the workers find it by this name
-    def rigged(n, deadline, k, m, lost):
-        if os.getpid() != parent:
-            return worker_walk(walk, n, deadline, k, m, lost)
-        end = perf_counter() + 10
-        while caller_waits and _pool._flag is not None and not _pool._flag[0]:
-            assert perf_counter() < end, "no worker's walk returned"
-            sleep(0.001)
-        return walk(n, deadline, k, m, lost)
-
-    monkeypatch.setattr(cipher, "_rho_walk", rigged)
-
-
 def _exit_mid_race(walk, n, deadline, k, m, lost):
     return walk(n, deadline, k, m, lambda: os._exit(1))
 
 
 def _exit_mid_race_on_walk_1(walk, n, deadline, k, m, lost):
     return walk(n, deadline, k, m, lambda: os._exit(1) if k == 1 else lost())
-
-
-def _log_walks(monkeypatch):
-    """The (k, result) of each rho walk the caller runs, in order."""
-    walk, walks = cipher._rho_walk, []
-
-    @functools.wraps(walk)
-    def logged(n, deadline, k, m, lost):
-        walks.append((k, walk(n, deadline, k, m, lost)))
-        return walks[-1][1]
-
-    monkeypatch.setattr(cipher, "_rho_walk", logged)
-    return walks
-
-
-def _walk_until_lost(walk, n, deadline, k, m, lost):
-    end = perf_counter() + 10
-    while not lost():
-        assert perf_counter() < end, "the caller's walk never returned"
-        sleep(0.001)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
@@ -1022,7 +981,8 @@ class TestRhoRace:
 
         serial = reports(1)
         assert reports(2) == serial
-        _rig_walks(monkeypatch, lambda walk, *args: walk(*args), caller_waits=True)
+        _pool.stop()  # the worker forked next runs the rigged walk
+        rig_walk(monkeypatch, cipher, "_rho_walk", in_caller=walk_once_lost)
         assert reports(2) == serial  # every factor found by the worker
         assert_no_children()
 
@@ -1042,7 +1002,7 @@ class TestRhoRace:
     # the next race forks a successor.
     def test_six_walks_on_fewer_cores_one_dying_each_race(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-        _rig_walks(monkeypatch, _exit_mid_race_on_walk_1)
+        rig_walk(monkeypatch, cipher, "_rho_walk", _exit_mid_race_on_walk_1)
         keys = [generate_keypair(24, seed) for seed in range(40, 72)]
         start = perf_counter()
         for dropped, kp in enumerate(keys, 1):
@@ -1054,12 +1014,12 @@ class TestRhoRace:
 
     # Whichever walk wins, the race has read every worker's reply and
     # cleared the flag by the time it returns: nothing waits in a pipe.
-    @pytest.mark.parametrize("worker_walk, caller_waits", [
-        (_walk_until_lost, False),
-        (lambda walk, *args: walk(*args), True),
+    @pytest.mark.parametrize("in_worker, in_caller", [
+        (walk_once_lost, None),
+        (None, walk_once_lost),
     ], ids=["caller-wins", "worker-wins"])
-    def test_no_job_outlives_a_race(self, forks, monkeypatch, worker_walk, caller_waits):
-        _rig_walks(monkeypatch, worker_walk, caller_waits)
+    def test_no_job_outlives_a_race(self, forks, monkeypatch, in_worker, in_caller):
+        rig_walk(monkeypatch, cipher, "_rho_walk", in_worker, in_caller)
         kp = generate_keypair(24, 5)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         sleep(0.2)
@@ -1069,21 +1029,20 @@ class TestRhoRace:
         assert len(forks) == 2
         assert_no_children(forks)
 
-    @pytest.mark.parametrize("worker_walk, caller_waits, garbled", [
-        (_exit_mid_race, False, False),
-        (lambda walk, n, *args: 1, True, False),
-        (lambda walk, n, *args: n, True, False),
-        (lambda walk, n, *args: "3", True, False),
-        (lambda walk, n, *args: 3, True, True),
+    @pytest.mark.parametrize("in_worker, in_caller, garbled", [
+        (_exit_mid_race, None, False),
+        (lambda walk, n, *args: 1, walk_once_lost, False),
+        (lambda walk, n, *args: n, walk_once_lost, False),
+        (lambda walk, n, *args: "3", walk_once_lost, False),
+        (lambda walk, n, *args: 3, walk_once_lost, True),
     ], ids=["exits-mid-race", "one", "n", "not-an-int", "undecodable"])
     def test_failed_workers_are_dropped_and_the_key_still_cracks(self, forks, monkeypatch,
-                                                                worker_walk, caller_waits,
-                                                                garbled):
+                                                                in_worker, in_caller, garbled):
         if garbled:
             parent, dump = os.getpid(), marshal.dump
             monkeypatch.setattr(marshal, "dump", lambda value, file: dump(value, file)
                                 if os.getpid() == parent else file.write(b"not marshal"))
-        _rig_walks(monkeypatch, worker_walk, caller_waits)
+        rig_walk(monkeypatch, cipher, "_rho_walk", in_worker, in_caller)
         kp = generate_keypair(24, 11)
         for _ in range(2):  # every failed worker is dropped, then replaced
             assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
@@ -1094,12 +1053,9 @@ class TestRhoRace:
     # A dead worker's walk is redone in the caller once walk 0 has returned:
     # it stops at its first poll, one step in.
     def test_a_dropped_walk_is_redone_in_the_caller(self, forks, monkeypatch):
-        walk, parent, redone = cipher._rho_walk, os.getpid(), []
+        redone = []
 
-        @functools.wraps(walk)
-        def rigged(n, deadline, k, m, lost):
-            if os.getpid() != parent:
-                return _exit_mid_race(walk, n, deadline, k, m, lost)
+        def in_caller(walk, n, deadline, k, m, lost):
             if k == 0:
                 return walk(n, deadline, k, m, lost)
             polls = []
@@ -1111,7 +1067,7 @@ class TestRhoRace:
             redone.append((k, walk(n, deadline, k, m, polled), polls))
             return redone[-1][1]
 
-        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        rig_walk(monkeypatch, cipher, "_rho_walk", _exit_mid_race, in_caller)
         kp = generate_keypair(24, 11)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
         assert redone == [(1, None, [True]), (2, None, [True])]
@@ -1127,10 +1083,10 @@ class TestRhoRace:
             m.setattr(_pool, "_slices", lambda work: 1)
             serial = replace(crack_private_key(pk, POLLARD_RHO, 30.0), elapsed=0.0)
         assert forks == []
-        walks = _log_walks(monkeypatch)
-        _rig_walks(monkeypatch, lambda walk, n, *args: 1, caller_waits=True)
+        walks = rig_walk(monkeypatch, cipher, "_rho_walk", lambda walk, n, *args: 1,
+                         walk_once_lost)
         assert replace(crack_private_key(pk, POLLARD_RHO, 30.0), elapsed=0.0) == serial
-        assert walks == [(0, None), (0, serial.p)]
+        assert walks == [(0, 3, None), (0, 1, serial.p)]
         assert (_pool._workers, _pool._flag) == ([], None)
         assert len(forks) == 2
         assert_no_children(forks)
@@ -1142,10 +1098,10 @@ class TestRhoRace:
             raise OSError("no process to spare")
 
         monkeypatch.setattr(os, "fork", fork)
-        walks = _log_walks(monkeypatch)
+        walks = rig_walk(monkeypatch, cipher, "_rho_walk")
         kp = generate_keypair(24, 11)
         assert crack_private_key(kp.public, POLLARD_RHO, 30.0).d == kp.private.d
-        assert [(k, f is None) for k, f in walks] == [(0, False), (1, True), (2, True)]
+        assert [(k, f is None) for k, _, f in walks] == [(0, False), (1, True), (2, True)]
         assert (_pool._workers, _pool._flag[0]) == ([], 0)
         assert_no_children()
 
@@ -1186,13 +1142,9 @@ class TestRhoRace:
         # The workers walk a 64-bit-prime key, for 20 s at most; the caller
         # "finds" p at once, and the next race must not wait for their walks.
         kp = generate_keypair(64, 31337, retain_provenance=True)
-        walk, p = cipher._rho_walk, kp.private.crt[0]
-
-        @functools.wraps(walk)
-        def rigged(n, deadline, k, m, lost):
-            return walk(n, deadline, k, m, lost) if k else p
-
-        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        p = kp.private.crt[0]
+        rig_walk(monkeypatch, cipher, "_rho_walk", in_caller=lambda walk, n, deadline, k, m, lost:
+                 walk(n, deadline, k, m, lost) if k else p)
         assert crack_private_key(kp.public, POLLARD_RHO, 20.0).d == kp.private.d
         raced = [pid for pid, _, _ in _pool._workers]
         start = perf_counter()
@@ -1205,17 +1157,12 @@ class TestRhoRace:
     def test_error_in_the_callers_walk_kills_the_workers(self, forks, monkeypatch):
         # The workers walk a 64-bit-prime key, for 20 s at most; the caller
         # fails 0.1 s in and must not wait for them.
-        walk = cipher._rho_walk
-
         def failing():
             sleep(0.1)
             raise RuntimeError("the caller's walk failed")
 
-        @functools.wraps(walk)
-        def rigged(n, deadline, k, m, lost):
-            return walk(n, deadline, k, m, failing if k == 0 else lost)
-
-        monkeypatch.setattr(cipher, "_rho_walk", rigged)
+        rig_walk(monkeypatch, cipher, "_rho_walk", in_caller=lambda walk, n, deadline, k, m, lost:
+                 walk(n, deadline, k, m, failing if k == 0 else lost))
         pk = generate_keypair(64, 31337).public
         start = perf_counter()
         with pytest.raises(RuntimeError, match="^the caller's walk failed$"):
@@ -1374,7 +1321,6 @@ class TestCrackBenchmark:
         text = benchmark_csv(trials)
         lines = text.splitlines()
         assert lines[0] == BENCHMARK_CSV_HEADER
-        assert lines[0] == "bits_per_prime,method,trial,elapsed_seconds,solved"
         assert len(lines) == 4
         for line in lines[1:]:
             assert re.fullmatch(

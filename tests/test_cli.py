@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import DATA, GOLDEN_CIPHERTEXT
+from conftest import DATA, GOLDEN_CIPHERTEXT, search_walks
 from rsa_primer import _pool, cipher, number_theory
 from rsa_primer.cipher import METHODS
 from rsa_primer.cli import FACTOR_BOUND
@@ -416,11 +416,16 @@ class TestCrack:
                    "--trials", "2"])
         assert res.code == 0
         lines = res.text.splitlines()
-        assert lines[0] == "bits_per_prime,method,trial,elapsed_seconds,solved"
+        assert lines[0] == cipher.BENCHMARK_CSV_HEADER
         assert len(lines) == 5
         assert all(re.fullmatch(
             r"(8|10),trial-division,[12],\d+\.\d{6},true", ln
         ) for ln in lines[1:])
+
+    def test_readme_gives_the_csv_header(self, readme):
+        [header] = re.findall(r"\*\*Benchmark CSV\*\* \(`crack --csv`\): header `([^`]*)`",
+                              " ".join(readme.split()))
+        assert header == cipher.BENCHMARK_CSV_HEADER
 
     def test_csv_zero_trials_exits_2(self, cli):
         res = cli(["crack", "--csv", "--bits", "8", "--seed", "3", "--trials", "0"])
@@ -824,26 +829,6 @@ def _least(holds, low, high):
     return low
 
 
-class _Raced(Exception):
-    pass
-
-
-def _search_races(bits):
-    """Whether gen_prime's search for a bits-bit prime races more than one
-    walk; a race stops it before any walk or fork."""
-    def entrants(fn, args, work, valid):
-        raise _Raced(_pool._slices(work))
-
-    race, number_theory.race = number_theory.race, entrants
-    try:
-        number_theory.gen_prime(bits, number_theory.Rng64(1))
-    except _Raced as raced:
-        return raced.args[0] > 1
-    finally:
-        number_theory.race = race
-    return False
-
-
 def _refuses_keygen(bits):
     try:
         number_theory._require_printable(2 * bits)
@@ -866,7 +851,8 @@ README_NUMBERS = {
     "race-line": (r"Pollard rho on n ≥ (2\^\d+) races", lambda: _least(
         lambda n: _pool._slices(math.isqrt(math.isqrt(n)) * cipher._RHO_STEP_WORK) > 1,
         1, 2**64)),
-    "search-line": (r"each prime of (\d+) bits or more", lambda: _least(_search_races, 4, 4096)),
+    "search-line": (r"each prime of (\d+) bits or more",
+                    lambda: _least(lambda bits: search_walks(bits) > 1, 4, 4096)),
     "wheel-clock": (r"once per (\d+) divisions", lambda: cipher._TIMEOUT_CHECK_EVERY),
     "rho-clock": (r"once per (\d+) Pollard-rho steps", lambda: cipher._RHO_POLL_EVERY),
     "widest-keygen": (r"`keygen --bits` above (\d+) exits 2",

@@ -1,14 +1,13 @@
-import functools
 import math
 import os
 import random
-from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SEED_1_PRIME_256, assert_no_children, wait_status
+from conftest import (SEED_1_PRIME_256, assert_no_children, rig_walk, search_walks,
+                      wait_status, wait_until_lost, walk_once_lost)
 from rsa_primer import _pool, number_theory
 from rsa_primer.cipher import POLLARD_RHO, crack_private_key
 from rsa_primer.errors import (
@@ -634,44 +633,6 @@ def _primes(gen, bits, seeds, count=2):
     return out
 
 
-def _rig_search(monkeypatch, in_worker, caller_waits=False):
-    """Each prime-search walk in a worker becomes in_worker(walk, *args);
-    the caller's walks, its gap fills among them, are the real one, each
-    logged as its (k, m, end).  When caller_waits, the caller's walk 0 of a
-    race waits until a worker's walk has returned, but for the one a race
-    walks alone after stop()."""
-    walk, parent, log = number_theory._search, os.getpid(), []
-
-    @functools.wraps(walk)  # the workers find it by this name
-    def rigged(start, state, bits, end, k, m, lost):
-        if os.getpid() != parent:
-            return in_worker(walk, start, state, bits, end, k, m, lost)
-        log.append((k, m, end))
-        stop = perf_counter() + 10
-        while caller_waits and (k, end) == (0, None) and m > 1 and not lost():
-            assert perf_counter() < stop, "no worker's walk returned"
-            sleep(0.001)
-        return walk(start, state, bits, end, k, m, lost)
-
-    monkeypatch.setattr(number_theory, "_search", rigged)
-    return log
-
-
-def _wait_until_lost(lost):
-    # Until another walk of the race has returned: a real walk stops with no
-    # candidate only then.
-    stop = perf_counter() + 10
-    while not lost():
-        assert perf_counter() < stop, "no other walk returned"
-        sleep(0.001)
-
-
-def _covers_nothing(walk, start, state, bits, end, k, m, lost):
-    # A worker's walk that tests none of its indices.
-    _wait_until_lost(lost)
-    return k, None, None
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="walks race only where fork exists")
 class TestSearchRace:
     """gen_prime's candidate walk raced over m walks equals the serial loop:
@@ -746,17 +707,18 @@ class TestSearchRace:
 
     # Workers that cover nothing: the caller walks their indices below the
     # least found one itself.  A dead worker's walk is redone in the
-    # caller, where lost() stops it at once.
+    # caller, where lost() stops it at once, at its first own index.
     @pytest.mark.parametrize("in_worker, filled", [
-        (_covers_nothing, True),
+        (walk_once_lost, True),
         (lambda walk, *args: os._exit(1), False),
     ], ids=["stops-at-once", "dies"])
     def test_gaps_are_walked_by_the_caller(self, forks, monkeypatch, in_worker, filled):
-        log = _rig_search(monkeypatch, in_worker)
+        log = rig_walk(monkeypatch, number_theory, "_search", in_worker)
         seeds = range(1, 5)
         assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
-        walked = {(k, m, end is None) for k, m, end in log}
+        walked = {(k, m, result == (k, None, None)) for k, m, result in log}
         assert {(1, 3, not filled), (2, 3, not filled)} <= walked
+        assert (len(forks) == 2) == filled  # only the dead are replaced
         assert_no_children(forks)
 
     # Worker walks that stop early, each at an own index of its own: the
@@ -769,14 +731,14 @@ class TestSearchRace:
         def stops_early(walk, start, state, bits, end, k, m, lost):
             found = walk(start, state, bits, k + m * (hash((start, k)) % 8), k, m, lost)
             if found[1] is None:
-                _wait_until_lost(lost)
+                wait_until_lost(lost)
             return found
 
-        log = _rig_search(monkeypatch, stops_early)
+        log = rig_walk(monkeypatch, number_theory, "_search", stops_early)
         for bits, seeds in ((82, range(1, 5)), (128, [1, 2]), (_RACE_LINE, [1, 2]),
                             (256, [1, 2])):
             assert _primes(gen_prime, bits, seeds) == _primes(_serial_gen_prime, bits, seeds)
-        assert any(end is not None for _, _, end in log)  # the caller filled gaps
+        assert any(k for k, _, _ in log)  # the caller filled a worker's gaps
 
     # Workers that stop at once, and a caller's walk that starts once one of
     # them has returned: it stops at its first index, no walk has a
@@ -786,29 +748,22 @@ class TestSearchRace:
         def stops_at_once(walk, start, state, bits, end, k, m, lost):
             return k, None, None
 
-        log = _rig_search(monkeypatch, stops_at_once, caller_waits=True)
+        log = rig_walk(monkeypatch, number_theory, "_search", stops_at_once, walk_once_lost)
         seeds = range(1, 3)
         assert _primes(gen_prime, 256, seeds) == _primes(_serial_gen_prime, 256, seeds)
-        assert log[:2] == [(0, 3, None), (0, 1, None)]
-        assert log.count((0, 1, None)) == log.count((0, 3, None)) >= 4
+        walks = [(k, m) for k, m, _ in log]
+        assert walks[:2] == [(0, 3), (0, 1)]
+        assert log[0][2] == (0, None, None)
+        assert walks.count((0, 1)) == walks.count((0, 3)) >= 4
         assert_no_children(forks)
 
-    def test_the_line(self, forks, monkeypatch):
+    def test_the_line(self, forks):
         line = _RACE_LINE
         for seed in range(1, 9):  # just below it nothing forks, no split either
             gen_prime(line - 1, Rng64(seed))
         assert forks == []
-        entrants = []
-
-        def counted(fn, args, work, valid):
-            entrants.append(_pool._slices(work))
-            return [fn(*args, 0, 1, lambda: False)]
-
-        monkeypatch.setattr(number_theory, "race", counted)
         for bits, walks in ((line - 1, {1}), (line, {2}), (256, {3})):
-            entrants.clear()
-            gen_prime(bits, Rng64(1))
-            assert set(entrants) == walks
+            assert {search_walks(bits)} == walks
         assert_no_children(forks)
 
     # The widths of the command line's keys and of crack's pools.

@@ -165,7 +165,8 @@ def test_validation_finding_writes_an_unwritable_factor_as_its_width(low_digit_l
 
 
 # A wrong type raises TypeError naming the argument, before a domain rule
-# can misread it: a float modulus is no modulus too small for a codec.
+# can misread it: a float modulus is no modulus too small for a codec, and
+# a float width or exponent no number for range() or a shift.
 @pytest.mark.parametrize("call, message", [
     (lambda: chunk_size_for(1.5), "n must be an int, got float"),
     (lambda: chunk_size_for(math.nan), "n must be an int, got float"),
@@ -174,8 +175,18 @@ def test_validation_finding_writes_an_unwritable_factor_as_its_width(low_digit_l
     (lambda: format_keypair(None), "kp must be a KeyPair, got NoneType"),
     (lambda: validate_keypair(None), "kp must be a KeyPair, got NoneType"),
     (lambda: validate_keypair(TOY.public), "kp must be a KeyPair, got PublicKey"),
+    (lambda: gen_prime(64.0, Rng64(1)), "bits must be an int, got float"),
+    (lambda: generate_keypair(16.0, 1), "bits_per_prime must be an int, got float"),
+    (lambda: generate_keypair(16, 1, e=65537.0), "e must be an int, got float"),
+    (lambda: keypair_from_primes(11, 13, 7.0), "e must be an int, got float"),
+    (lambda: smallest_factor("35"), "n must be an int, got str"),
+    (lambda: crack_private_key(TOY.public, timeout="1"),
+     "timeout must be an int or a float, got str"),
+    (lambda: crack_benchmark([16.0], 1), "each bit width must be an int, got float"),
+    (lambda: crack_benchmark([16], 1, trials="3"), "trials must be an int, got str"),
 ], ids=["chunk-size", "chunk-size-nan", "chunked", "toy-ascii", "format-pair",
-        "validate-pair", "validate-public"])
+        "validate-pair", "validate-public", "prime-width", "key-width", "drawn-key-e",
+        "primes-e", "factor", "timeout", "benchmark-width", "trials"])
 def test_a_wrong_type_is_refused_by_name(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
