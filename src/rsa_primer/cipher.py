@@ -341,8 +341,7 @@ METHODS = tuple(_FACTOR_METHODS)
 def _require_budget(timeout: float | None) -> None:
     if timeout is None:
         return
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):  # _require_type's rule
-        raise TypeError(f"timeout must be an int or a float, got {type(timeout).__name__}")
+    _require_type(timeout, (int, float), "timeout")
     if not 0 < timeout <= sys.float_info.max:  # nan fails both
         raise InvalidArgument("timeout must be positive and finite")
 
@@ -402,16 +401,18 @@ def crack_benchmark(
     aborting the run.  Trials run sequentially; interleaving them would
     contaminate the wall-clock numbers.  Before any key is made, ``trials``
     below 1 or a ``timeout`` :func:`crack_private_key` refuses raises
-    :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`.
+    :class:`InvalidArgument`, a width below 4 :class:`BitsTooSmall`, and a
+    wrong-typed ``trials``, ``timeout`` or width :class:`TypeError`.  They
+    are checked in that order, each its type before its value.
     """
     _require_type(trials, int, "trials")
-    for bits in bits_list:
-        _require_type(bits, int, "each bit width")
-    _require_budget(timeout)
     if trials < 1:
         raise InvalidArgument(f"trials must be at least 1, got {_decimal(trials)}")
-    if any(bits < 4 for bits in bits_list):
-        raise BitsTooSmall("each bit width must be at least 4")
+    _require_budget(timeout)
+    for bits in bits_list:
+        _require_type(bits, int, "each bit width")
+        if bits < 4:
+            raise BitsTooSmall("each bit width must be at least 4")
     rng = Rng64(seed)
     out: list[CrackTrial] = []
     for bits in bits_list:

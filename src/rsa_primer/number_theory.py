@@ -86,10 +86,12 @@ def _require_printable(width: int, n: int | None = None, what: str = "modulus") 
                           f"than the int-string limit of {limit}")
 
 
-def _require_type(value, kind: type, name: str) -> None:
+def _require_type(value, kind: type | tuple[type, ...], name: str) -> None:
     if not isinstance(value, kind) or isinstance(value, bool):
-        article = "an" if kind.__name__[0] in "AEIOUaeiouR" else "a"  # an Rng64, a KeyPair
-        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+        kinds = (kind,) if isinstance(kind, type) else kind
+        wanted = " or ".join(f"{'an' if k.__name__[0] in 'AEIOUaeiouR' else 'a'} {k.__name__}"
+                             for k in kinds)  # an Rng64, a KeyPair, an int or a float
+        raise TypeError(f"{name} must be {wanted}, got {type(value).__name__}")
 
 
 def _require_natural(value: int, name: str) -> None:
