@@ -4,11 +4,15 @@ A subclass lists its fields as annotations in its class body, in order,
 with defaults as plain class attributes.  Instances construct from
 positional or keyword arguments, compare equal only to instances of the
 exact same class with equal fields, hash alike when equal, and refuse
-assignment.  Fields named in ``derived`` (``class C(Record, derived=...)``)
-are held and pickled but take no part in equality, hashing or ``repr``.
+assignment.  A field annotated ``int`` refuses a bool or a non-int with a
+``TypeError`` that names the class and the field.  Fields named in
+``derived`` (``class C(Record, derived=...)``) are held and pickled but
+take no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
+
+from .number_theory import _require_type
 
 __all__ = ["Record", "replace"]
 
@@ -16,12 +20,15 @@ __all__ = ["Record", "replace"]
 class Record:
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
+    _ints: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        own = tuple(cls.__dict__.get("__annotations__", ()))
+        annotations = cls.__dict__.get("__annotations__", {})
+        own = tuple(annotations)
         cls._fields = cls._fields + own
+        cls._ints = cls._ints + tuple(f for f in own if annotations[f] == "int")
         cls._compared = cls._compared + tuple(f for f in own if f not in derived)
         cls._defaults = {**cls._defaults,
                          **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
@@ -38,6 +45,8 @@ class Record:
         missing = [f for f in fields if f not in values]
         if missing:
             raise TypeError(f"{name} is missing {', '.join(missing)}")
+        for f in self._ints:
+            _require_type(values[f], int, f"{name}.{f}")
         vars(self).update((f, values[f]) for f in fields)
 
     def __setattr__(self, key: str, value: object) -> None:

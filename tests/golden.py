@@ -34,7 +34,7 @@ MESSAGE = b"Tue 7PM"
 # bits), and 512 bits.
 _WIDTHS = (*range(4, 41), 64, 128, 182, 183, 184, 256, 512)
 # The keys each codec encrypts under: README's alice, and the 256-bit key
-# CI's later steps use.
+# TestSubprocess makes where the OS lacks fork or CPU affinity.
 _ENCRYPT_UNDER = {(16, 42, False, False), (256, 7, False, True)}
 
 

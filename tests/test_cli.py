@@ -586,7 +586,9 @@ class TestNt:
 
 
 class TestSubprocess:
-    """A few end-to-end runs through a real interpreter."""
+    """A few end-to-end runs through a real interpreter, each with a
+    DeprecationWarning an error (3.12 warns on a fork in a threaded
+    process)."""
 
     def _run(self, args, stdin=b"", argv=("-m", "rsa_primer")):
         env = dict(os.environ)
@@ -594,9 +596,34 @@ class TestSubprocess:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
-            [sys.executable, *argv, *args],
+            [sys.executable, "-W", "error::DeprecationWarning", *argv, *args],
             input=stdin, capture_output=True, env=env, timeout=120,
         )
+
+    def _run_forking(self, args, tmp_path):
+        # Runs main(args) in a process that sees three CPUs, so that a split
+        # or race forks two pooled workers.  Returns the process and the pid
+        # of each child it forked, each checked gone.  The capture reads
+        # stdout to EOF, so a child still holding it would hang the run.
+        log = tmp_path / "forks"
+        log.write_bytes(b"")
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "fork = os.fork\n"
+                "def logged():\n"
+                "    pid = fork()\n"
+                "    if pid:\n"
+                f"        with open({str(log)!r}, 'a', encoding='ascii') as f: print(pid, file=f)\n"
+                "    return pid\n"
+                "os.fork = logged\n"
+                "from rsa_primer.cli import main\n"
+                f"sys.exit(main({args!r}))")
+        proc = self._run([], argv=["-c", code])
+        pids = [int(pid) for pid in log.read_bytes().split()]
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        return proc, pids
 
     def test_demo_matches_in_process(self, cli):
         proc = self._run(["demo"])
@@ -624,26 +651,33 @@ class TestSubprocess:
 
     def test_keygen_with_workers_returns(self, tmp_path, cli):
         # 256-bit primes split their Miller-Rabin rounds across pooled
-        # workers (three CPUs faked under -c).  The capture reads stdout to
-        # EOF, so a worker still holding it after its parent exited would
-        # hang the run; the exit handler has reaped every worker by then.
+        # workers; the exit handler reaps every one.
         args = ["keygen", "--bits", "256", "--seed", "9", "--retain-pq",
                 "--out", str(tmp_path / "k")]
         expected = cli(args).out
         proc = self._run(args)
         assert (proc.returncode, proc.stdout) == (0, expected)
-        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
-                "from rsa_primer import _pool; from rsa_primer.cli import main; "
-                f"code = main({args!r}); "
-                "print(*(pid for pid, _, _ in _pool._workers), file=sys.stderr); "
-                "sys.exit(code)")
-        proc = self._run([], argv=["-c", code])
-        assert (proc.returncode, proc.stdout) == (0, expected)
-        workers = [int(pid) for pid in proc.stderr.split(b"\n")[-2].split()]
-        assert len(workers) == 2
-        for pid in workers:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        proc, workers = self._run_forking(args, tmp_path)
+        assert (proc.returncode, proc.stdout, len(workers)) == (0, expected, 2)
+
+    def test_raced_crack_leaves_no_worker(self, tmp_path, cli):
+        # Rho on 28-bit primes races a walk per CPU; whichever walk finds
+        # the factor, crack prints keygen's d, and the exit handler reaps
+        # every worker.  Past its budget a raced crack exits 6 with its one
+        # line, and the caller's timeout kills every walk still cycling.
+        rho, big = str(tmp_path / "rho"), str(tmp_path / "big")
+        res = cli(["keygen", "--bits", "28", "--seed", "5", "--out", rho])
+        d = next(line for line in res.text.splitlines() if line.startswith("d="))
+        proc, workers = self._run_forking(
+            ["crack", "--key", rho + ".pub", "--method", "pollard-rho"], tmp_path)
+        assert (proc.returncode, proc.stderr, len(workers)) == (0, b"", 2)
+        assert proc.stdout.decode().splitlines()[0].endswith(" " + d)
+        assert cli(["keygen", "--bits", "256", "--seed", "7", "--out", big]).code == 0
+        proc, workers = self._run_forking(
+            ["crack", "--key", big + ".pub", "--method", "pollard-rho", "--timeout", "0.2"],
+            tmp_path)
+        assert (proc.returncode, proc.stdout, len(workers)) == (6, b"", 2)
+        assert re.fullmatch(rb"timed out after \d+\.\d{3}s: [^\n]+\n", proc.stderr)
 
     @pytest.mark.parametrize("missing", [("fork", "register_at_fork"), ("sched_getaffinity",)],
                              ids=["no-fork", "no-affinity"])

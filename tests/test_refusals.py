@@ -19,6 +19,7 @@ from rsa_primer.cipher import (
 )
 from rsa_primer.codec import (
     CODEC_TOY_ASCII,
+    BlockSeq,
     block_seq,
     chunk_size_for,
     decimal_digits,
@@ -38,6 +39,7 @@ from rsa_primer.keys import (
     PublicKey,
     generate_keypair,
     format_keypair,
+    format_public_key,
     keypair_from_primes,
     validate_keypair,
 )
@@ -184,9 +186,17 @@ def test_validation_finding_writes_an_unwritable_factor_as_its_width(low_digit_l
      "timeout must be an int or a float, got str"),
     (lambda: crack_benchmark([16.0], 1), "each bit width must be an int, got float"),
     (lambda: crack_benchmark([16], 1, trials="3"), "trials must be an int, got str"),
+    # A record's int field is refused where the record is built.
+    (lambda: crack_private_key(PublicKey(3, 35.0)), "PublicKey.n must be an int, got float"),
+    (lambda: format_public_key(PublicKey(3.0, 35)), "PublicKey.e must be an int, got float"),
+    (lambda: decrypt_message(BlockSeq((1,), CODEC_TOY_ASCII, 2), PrivateKey(7, 35.0)),
+     "PrivateKey.n must be an int, got float"),
+    (lambda: encrypt_block(2, PublicKey(3.0, 35)), "PublicKey.e must be an int, got float"),
+    (lambda: encrypt_block(2, PublicKey(True, 35)), "PublicKey.e must be an int, got bool"),
 ], ids=["chunk-size", "chunk-size-nan", "chunked", "toy-ascii", "format-pair",
         "validate-pair", "validate-public", "prime-width", "key-width", "drawn-key-e",
-        "primes-e", "factor", "timeout", "benchmark-width", "trials"])
+        "primes-e", "factor", "timeout", "benchmark-width", "trials", "crack-key-n",
+        "format-key-e", "decrypt-key-n", "encrypt-key-e", "encrypt-key-e-bool"])
 def test_a_wrong_type_is_refused_by_name(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
